@@ -27,9 +27,8 @@ class RunConfig:
     # relative gap between the two largest singular values of the
     # resolvent below which the maximizing vector is flagged degenerate
     degeneracy_gap: float = 1e-6
-    # samples per segment during the path line search / certification
+    # samples per segment in the path line search
     s_seg: int = 33
-    s_cert: int = 129
     # path search limits
     max_steps: int = 10000
     max_halvings: int = 40
@@ -42,7 +41,7 @@ class RunConfig:
 DEFAULT_CONFIG = RunConfig()
 
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(RunConfig)}
-_INT_FIELDS = {"s_seg", "s_cert", "max_steps", "max_halvings", "seed"}
+_INT_FIELDS = {"s_seg", "max_steps", "max_halvings", "seed"}
 
 
 def config_from_dict(data: dict) -> RunConfig:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import GrowthCase, ResolventPoint, compute_quantities
+from .analysis import GrowthCase, ResolventPoint
 from .config import DEFAULT_CONFIG, RunConfig
 from .errors import DomainError
 from .linalg import ShiftedSolver, as_matrix, as_vector, eigenvalues, sigma_min_batch, spectral_distance

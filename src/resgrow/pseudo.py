@@ -16,7 +16,7 @@ import numpy as np
 
 from .analysis import GrowthCase, analyze_point
 from .config import DEFAULT_CONFIG, RunConfig
-from .errors import DomainError, SearchError
+from .errors import DomainError, NearSingularError, SearchError
 from .linalg import as_matrix, eigenvalues, sigma_min_batch, spectral_distance
 from .serialize import complex_pair, csv_text
 
@@ -29,12 +29,23 @@ _ESCAPE_DIRECTIONS = 16
 # relative progress a step must make over the current vertex norm
 _PROGRESS_REL = 1e-9
 
+# sigma_min evaluations the path certificate may spend per segment.
+# Where sigma_min stays far below the floor's sigma s_req along a long
+# segment (strongly non-normal A, small epsilon), the Lipschitz bound
+# needs about length / (2 s_req) of them; past this budget the floor is
+# reported unproved instead.
+_CERT_SAMPLES_PER_SEGMENT = 4096
 
-def _norms_at(a, zs) -> np.ndarray:
-    """Resolvent norms at a batch of points; exact hits give inf."""
-    s = sigma_min_batch(a, zs)
+
+def _norms_from_sigma(s) -> np.ndarray:
+    """Resolvent norms 1/sigma_min; exact hits (sigma 0) give inf."""
     with np.errstate(divide="ignore"):
         return np.where(s > 0.0, 1.0 / s, np.inf)
+
+
+def _norms_at(a, zs) -> np.ndarray:
+    """Resolvent norms at a batch of points."""
+    return _norms_from_sigma(sigma_min_batch(a, zs))
 
 
 @dataclass(frozen=True)
@@ -208,13 +219,15 @@ class PolyPath:
 
 @dataclass(frozen=True)
 class PathCertificate:
-    """Dense re-sampling evidence that a path stays inside sigma_epsilon.
+    """Proof that a path stays inside the epsilon-pseudospectrum.
 
+    ``samples`` counts the sigma_min evaluations the certificate made
+    and ``min_f_on_path`` is the smallest resolvent norm among them.
     Invalid certificates are data, not exceptions: ``failures`` lists
     which invariant broke.
     """
 
-    samples_per_segment: int
+    samples: int
     min_f_on_path: float
     vertex_norms: tuple[float, ...]
     endpoint_distance: float
@@ -223,7 +236,7 @@ class PathCertificate:
 
     def to_dict(self) -> dict:
         return {
-            "samples_per_segment": self.samples_per_segment,
+            "samples": self.samples,
             "min_f_on_path": self.min_f_on_path,
             "vertex_norms": list(self.vertex_norms),
             "endpoint_distance": self.endpoint_distance,
@@ -233,49 +246,82 @@ class PathCertificate:
 
 
 def certify_path(a, path: PolyPath, cfg: RunConfig = DEFAULT_CONFIG) -> PathCertificate:
-    """Re-sample a path densely and validate its invariants.
+    """Prove the norm floor on every segment and validate the invariants.
 
     Checks, in order: the resolvent norm along every segment stays
     strictly above 1/epsilon with margin at least half of
     f(x_1) - delta - 1/epsilon; the vertex norms over x_1..x_m strictly
     increase; the final hop is shorter than epsilon/2; the last vertex
-    is an eigenvalue under the residual test.
+    is an eigenvalue under the residual test
+    sigma_min(A - lambda I) <= tol_eig * max(1, ||A||_2).
+
+    The floor is proved over the continuous segments, not only at
+    samples.  sigma_min(A - zI) is 1-Lipschitz in z, so on an interval
+    [p, q] it is at most (sigma(p) + sigma(q) + |q - p|)/2.  Intervals
+    whose bound, plus a rounding slack of n u (||A||_2 + max |z|), does
+    not reach the sigma of the required floor are proved; the others are
+    bisected, all midpoints of one level in one batch.  Refinement stops
+    with a "min_f_margin" failure at a sampled point below the floor or
+    at an unproved interval no longer than the slack, and with a
+    "min_f_unproved" failure when the next level would bring the total
+    past _CERT_SAMPLES_PER_SEGMENT evaluations per segment.
     """
     a = as_matrix(a)
     if not path.vertices:
         raise ValueError("path must have at least one vertex")
     verts = np.asarray(path.vertices, dtype=complex)
-    lam = complex(verts[-1])
-    xs = verts[:-1]
     inv_eps = 1.0 / path.epsilon
 
-    if verts.shape[0] >= 2:
-        ts = np.linspace(0.0, 1.0, cfg.s_cert)
-        seg_points = verts[:-1, None] + ts[None, :] * (verts[1:, None] - verts[:-1, None])
-        sampled = _norms_at(a, seg_points.ravel())
-    else:
-        sampled = _norms_at(a, verts)
-    min_f = float(np.min(sampled))
+    sigma = sigma_min_batch(a, verts)
+    norms = _norms_from_sigma(sigma)
+    vertex_norms = tuple(float(v) for v in norms[:-1])
+    endpoint_distance = float(abs(verts[-2] - verts[-1])) if vertex_norms else 0.0
+    f_start = vertex_norms[0] if vertex_norms else float(norms[0])
+    required_margin = 0.5 * (f_start - path.delta - inv_eps)
+    s_req = 1.0 / (inv_eps + max(required_margin, 0.0))
+    norm_a = float(np.linalg.norm(a, 2))
+    slack = a.shape[0] * np.finfo(float).eps * (norm_a + float(np.max(np.abs(verts))))
 
-    vertex_norms = tuple(float(v) for v in _norms_at(a, xs)) if xs.size else ()
-    endpoint_distance = float(abs(xs[-1] - lam)) if xs.size else 0.0
-    f_start = vertex_norms[0] if vertex_norms else min_f
+    samples = verts.shape[0]
+    budget = samples + _CERT_SAMPLES_PER_SEGMENT * (samples - 1)
+    max_sigma = sigma.max()
+    refuted = exhausted = False
+    p, q, sp, sq = verts[:-1], verts[1:], sigma[:-1], sigma[1:]
+    while True:
+        length = np.abs(q - p)
+        open_ = 0.5 * (sp + sq + length) + slack > s_req
+        if np.any(np.maximum(sp, sq) > s_req) or np.any(open_ & (length <= slack)):
+            refuted = True
+            break
+        count = int(np.count_nonzero(open_))
+        if count == 0:
+            break
+        if samples + count > budget:
+            exhausted = True
+            break
+        p, q, sp, sq = p[open_], q[open_], sp[open_], sq[open_]
+        mid = 0.5 * (p + q)
+        sm = sigma_min_batch(a, mid)
+        samples += mid.shape[0]
+        max_sigma = max(max_sigma, sm.max())
+        p, q = np.concatenate((p, mid)), np.concatenate((mid, q))
+        sp, sq = np.concatenate((sp, sm)), np.concatenate((sm, sq))
+    min_f = float(_norms_from_sigma(max_sigma))
 
     failures = []
-    required_margin = 0.5 * (f_start - path.delta - inv_eps)
-    if not (min_f > inv_eps and min_f - inv_eps >= required_margin):
+    if refuted or not (min_f > inv_eps and min_f - inv_eps >= required_margin):
         failures.append("min_f_margin")
+    elif exhausted:
+        failures.append("min_f_unproved")
     if any(b <= a_ for a_, b in zip(vertex_norms, vertex_norms[1:])):
         failures.append("vertex_norms_not_increasing")
     if not endpoint_distance < 0.5 * path.epsilon:
         failures.append("endpoint_too_far")
-    eigs = eigenvalues(a, cfg)
-    scale = max(1.0, float(np.linalg.norm(a, 2)))
-    if spectral_distance(eigs, lam) > cfg.tol_eig * scale:
+    if sigma[-1] > cfg.tol_eig * max(1.0, norm_a):
         failures.append("endpoint_not_eigenvalue")
 
     return PathCertificate(
-        samples_per_segment=cfg.s_cert,
+        samples=samples,
         min_f_on_path=min_f,
         vertex_norms=vertex_norms,
         endpoint_distance=endpoint_distance,
@@ -337,9 +383,12 @@ def find_path(
 
     Raises:
         DomainError: f(z) <= 1/epsilon (query outside the set).
-        SearchError: no admissible step exists (reason "step-failure")
-            or cfg.max_steps vertices were placed (reason
-            "iteration-limit"); the partial path rides along.
+        SearchError: no admissible step exists (reason "step-failure"),
+            a vertex farther than epsilon/2 from every computed
+            eigenvalue has sigma_min <= cfg.tol_singular, so the
+            growth direction there is undefined (reason
+            "singular-vertex"), or cfg.max_steps vertices were placed
+            (reason "iteration-limit"); the partial path rides along.
     """
     a = as_matrix(a)
     if not epsilon > 0.0:
@@ -374,7 +423,15 @@ def find_path(
             )
             return path, certify_path(a, path, cfg)
 
-        point = analyze_point(a, x, cfg)
+        try:
+            point = analyze_point(a, x, cfg)
+        except NearSingularError as exc:
+            raise SearchError(
+                f"vertex {x} is numerically singular (sigma_min={exc.sigma_min:.3e}) "
+                f"but {dist:.3e} from the computed spectrum",
+                tuple(vertices),
+                reason="singular-vertex",
+            ) from exc
         if point.case is GrowthCase.LOCAL_MIN:
             angles = -np.pi + 2.0 * np.pi * (np.arange(_ESCAPE_DIRECTIONS) + 1) / _ESCAPE_DIRECTIONS
             candidates = np.exp(1j * angles)

@@ -7,7 +7,6 @@ def test_defaults():
     cfg = RunConfig()
     assert cfg == DEFAULT_CONFIG
     assert cfg.tol_singular == 1e-12
-    assert cfg.s_cert == 129
     assert cfg.max_steps == 10000
 
 
@@ -32,6 +31,8 @@ def test_from_dict_overrides():
 def test_from_dict_rejects_unknown_keys():
     with pytest.raises(ValueError, match="unknown"):
         config_from_dict({"tol_typo": 1.0})
+    with pytest.raises(ValueError, match="unknown"):
+        config_from_dict({"s_cert": 129})
 
 
 def test_from_dict_type_checks():

@@ -1,5 +1,10 @@
+import dataclasses
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import resgrow as rg
 
@@ -226,6 +231,106 @@ def test_certify_single_vertex(diag03):
     assert cert.valid
     assert cert.endpoint_distance == 0.0
     assert cert.min_f_on_path == np.inf
+
+
+def test_certify_finds_dip_between_samples():
+    # f = 1/min(|z|, |z - 1|) dips to 2.0 at z = 0.5 on the first segment,
+    # below the required floor 1 + (5 - 1.996 - 1)/2 = 2.002; 129 equispaced
+    # samples of that segment all miss the dip
+    path = rg.PolyPath(vertices=(0.2, 0.9, 1.0), eigenvalue=1.0, epsilon=1.0, delta=1.996)
+    cert = rg.certify_path(np.diag([0.0 + 0j, 1.0 + 0j]), path)
+    assert not cert.valid
+    assert cert.failures == ("min_f_margin",)
+    assert cert.min_f_on_path < 2.002
+
+
+def test_certify_residual_endpoint():
+    # the computed eigenvalues of J = jordan_block(16, 0) are all 0, but
+    # sigma_min(J - 0.2 I), about 0.2^16, passes the residual test, while
+    # sigma_min(J - 0.5 I), about 0.5^16, does not; the large delta leaves
+    # a floor of 1/epsilon only
+    a = rg.jordan_block(16, 0.0)
+    for lam, ok in ((0.2, True), (0.5, False)):
+        path = rg.PolyPath(vertices=(lam + 0.05, lam), eigenvalue=lam, epsilon=1.0, delta=1e12)
+        cert = rg.certify_path(a, path)
+        assert cert.failures == (() if ok else ("endpoint_not_eigenvalue",))
+
+
+def test_certify_budget():
+    # f >= 4.6e9 holds on [0.2, 0.25] for jordan_block(16, 0), but the
+    # Lipschitz bound proves the floor's sigma 4.4e-10 only on intervals
+    # no longer than twice that, some 6e7 of them: the certificate stops
+    # at its per-segment budget instead
+    path = rg.PolyPath(vertices=(0.25, 0.2), eigenvalue=0.2, epsilon=1.0, delta=0.0)
+    cert = rg.certify_path(rg.jordan_block(16, 0.0), path)
+    assert cert.failures == ("min_f_unproved",)
+    assert cert.samples <= 2 + 4096
+
+
+def _sigma_floor(cert, path):
+    """sigma that matches the norm floor 1/epsilon + required margin."""
+    inv_eps = 1.0 / path.epsilon
+    return 1.0 / (inv_eps + 0.5 * (cert.vertex_norms[0] - path.delta - inv_eps))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    n=st.integers(1, 8),
+    seed=st.integers(0, 2**20),
+    tighten=st.one_of(st.none(), st.floats(-0.05, 0.05)),
+)
+def test_certificate_is_sound(n, seed, tighten):
+    """A valid certificate holds under dense re-sampling of every segment.
+
+    ``tighten`` moves the required floor to within a few percent of the
+    sampled minimum of f along the path, so both verdicts occur.
+    """
+    a = rg.random_dense(n, seed)
+    rng = np.random.default_rng(seed)
+    z = complex(*(np.sqrt(n) * rng.standard_normal(2)))
+    f = rg.resolvent_norm(a, z)
+    try:
+        path, _ = rg.find_path(a, 1.3 / f, z)
+    except rg.SearchError:
+        return
+    verts = np.asarray(path.vertices)
+    ts = np.linspace(0.0, 1.0, 4097)
+    dense = rg.sigma_min_batch(a, (verts[:-1, None] + ts * np.diff(verts)[:, None]).ravel())
+    if tighten is not None:
+        # the delta that puts the floor at (1 + tighten) times the dense
+        # minimum of f
+        inv_eps = 1.0 / path.epsilon
+        target = (1.0 + tighten) / float(dense.max())
+        path = dataclasses.replace(path, delta=f - inv_eps - 2.0 * (target - inv_eps))
+
+    evaluated = []
+
+    def counting(a_, zs):
+        values = rg.sigma_min_batch(a_, zs)
+        evaluated.append(values)
+        return values
+
+    with mock.patch("resgrow.pseudo.sigma_min_batch", counting):
+        cert = rg.certify_path(a, path)
+    sigma = np.concatenate(evaluated)
+    assert cert.samples == sigma.size
+    assert cert.min_f_on_path == 1.0 / sigma.max()
+    if cert.valid:
+        assert dense.max() <= _sigma_floor(cert, path)
+
+
+def test_find_path_singular_vertex():
+    # sigma_min(J - zI) is about |z - 0.5|^16 here: the search reaches a
+    # vertex 0.034 from the eigenvalue, far outside epsilon/2 = 7.4e-13,
+    # where sigma_min is 3.6e-24, below tol_singular
+    a = rg.jordan_block(16, 0.5)
+    z = 0.536 - 0.176j
+    eps = 1.3 / rg.resolvent_norm(a, z)
+    with pytest.raises(rg.SearchError) as err:
+        rg.find_path(a, eps, z)
+    assert err.value.reason == "singular-vertex"
+    assert err.value.vertices[0] == z
+    assert isinstance(err.value.__cause__, rg.NearSingularError)
 
 
 def test_path_serialization(diag03):
