@@ -112,23 +112,29 @@ def _angle(x: complex) -> float:
     return t
 
 
-def compute_quantities(
-    a, z: complex, psi, cfg: RunConfig = DEFAULT_CONFIG
-) -> tuple[complex, float, complex]:
-    """(alpha, beta, gamma) at z for a given unit vector psi.
+def _growth_quantities(
+    solver: ShiftedSolver, psi: np.ndarray
+) -> tuple[complex, float, complex, float]:
+    """(alpha, beta, gamma, ||R psi||^2) from R psi, R^2 psi, R^3 psi.
 
-    Three successive shifted solves produce R psi, R^2 psi, R^3 psi
-    from one factorization.
+    Three successive shifted solves reuse the solver's factorization.
     """
-    solver = ShiftedSolver(a, z, cfg)
-    psi = as_vector(psi, solver.matrix.shape[0])
     w1 = solver.solve(psi)
     w2 = solver.solve(w1)
     w3 = solver.solve(w2)
     alpha = complex(np.vdot(w1, w2))
     beta = float(np.vdot(w2, w2).real)
     gamma = complex(np.vdot(w1, w3))
-    return alpha, beta, gamma
+    return alpha, beta, gamma, float(np.vdot(w1, w1).real)
+
+
+def compute_quantities(
+    a, z: complex, psi, cfg: RunConfig = DEFAULT_CONFIG
+) -> tuple[complex, float, complex]:
+    """(alpha, beta, gamma) at z for a given unit vector psi."""
+    solver = ShiftedSolver(a, z, cfg)
+    psi = as_vector(psi, solver.matrix.shape[0])
+    return _growth_quantities(solver, psi)[:3]
 
 
 def classify_and_direction(
@@ -151,12 +157,7 @@ def analyze_point(a, z: complex, cfg: RunConfig = DEFAULT_CONFIG) -> ResolventPo
     a = as_matrix(a)
     solver = ShiftedSolver(a, z, cfg)
     psi = canonical_phase(solver.min_left_vector())
-    w1 = solver.solve(psi)
-    w2 = solver.solve(w1)
-    w3 = solver.solve(w2)
-    alpha = complex(np.vdot(w1, w2))
-    beta = float(np.vdot(w2, w2).real)
-    gamma = complex(np.vdot(w1, w3))
+    alpha, beta, gamma, _ = _growth_quantities(solver, psi)
     norm = solver.norm
     case, theta0 = classify_and_direction(alpha, gamma, norm, cfg)
     dist = spectral_distance(eigenvalues(a, cfg), z)

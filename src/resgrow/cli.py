@@ -329,13 +329,7 @@ def main(argv=None) -> int:
             args.output,
         )
         return 5
-    except (DomainError, ValueError) as exc:
-        print(f"resgrow: error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"resgrow: error: {exc}", file=sys.stderr)
-        return 2
-    except ResgrowError as exc:
+    except (ValueError, OSError, ResgrowError) as exc:
         print(f"resgrow: error: {exc}", file=sys.stderr)
         return 2
 

@@ -32,7 +32,6 @@ class RunConfig:
     # path search limits
     max_steps: int = 10000
     max_halvings: int = 40
-    seed: int = 0
 
     def replace(self, **kw) -> "RunConfig":
         return dataclasses.replace(self, **kw)
@@ -41,7 +40,7 @@ class RunConfig:
 DEFAULT_CONFIG = RunConfig()
 
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(RunConfig)}
-_INT_FIELDS = {"s_seg", "max_steps", "max_halvings", "seed"}
+_INT_FIELDS = {"s_seg", "max_steps", "max_halvings"}
 
 
 def config_from_dict(data: dict) -> RunConfig:

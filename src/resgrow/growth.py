@@ -15,10 +15,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import GrowthCase, ResolventPoint
+from .analysis import GrowthCase, ResolventPoint, _growth_quantities
 from .config import DEFAULT_CONFIG, RunConfig
 from .errors import DomainError
-from .linalg import ShiftedSolver, as_matrix, as_vector, eigenvalues, sigma_min_batch, spectral_distance
+from .linalg import (
+    ShiftedSolver,
+    as_matrix,
+    as_vector,
+    circle_directions,
+    eigenvalues,
+    norms_from_sigma,
+    sigma_min_batch,
+    spectral_distance,
+)
 from .serialize import complex_pair, csv_text
 
 # samples whose excess over the base norm is below this (relative to the
@@ -134,8 +143,7 @@ def sample_segment(
     zetas = point.z + ts * step
     sigmas = sigma_min_batch(a, zetas)
     all_in = bool(np.all(sigmas > cfg.tol_singular))
-    with np.errstate(divide="ignore"):
-        norms = np.where(sigmas > 0.0, 1.0 / sigmas, np.inf)
+    norms = norms_from_sigma(sigmas)
 
     base = point.norm
     excesses = norms[1:] - base
@@ -291,12 +299,9 @@ def local_min_probe(
 
     base = ShiftedSolver(a, z, cfg).norm
     radii = r0 * (np.arange(radial) + 1) / radial
-    angles = -np.pi + 2.0 * np.pi * (np.arange(angular) + 1) / angular
-    zetas = complex(z) + radii[:, None] * np.exp(1j * angles)[None, :]
+    zetas = complex(z) + radii[:, None] * circle_directions(angular)[None, :]
     sigmas = sigma_min_batch(a, zetas.ravel()).reshape(radial, angular)
-    with np.errstate(divide="ignore"):
-        norms = np.where(sigmas > 0.0, 1.0 / sigmas, np.inf)
-    excess = norms - base
+    excess = norms_from_sigma(sigmas) - base
     profile = excess.min(axis=1)
     min_excess = float(profile.min())
 
@@ -378,13 +383,7 @@ def taylor_remainder_check(
 
     solver = ShiftedSolver(a, z, cfg)
     psi = as_vector(psi, solver.matrix.shape[0])
-    w1 = solver.solve(psi)
-    w2 = solver.solve(w1)
-    w3 = solver.solve(w2)
-    alpha = complex(np.vdot(w1, w2))
-    beta = float(np.vdot(w2, w2).real)
-    gamma = complex(np.vdot(w1, w3))
-    base_sq = float(np.vdot(w1, w1).real)
+    alpha, beta, gamma, base_sq = _growth_quantities(solver, psi)
 
     direction = np.exp(-1j * float(theta0))
     residuals = []

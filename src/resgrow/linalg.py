@@ -251,6 +251,18 @@ def sigma_min_batch(a, zs, chunk_bytes: int = 1 << 26) -> np.ndarray:
     return out
 
 
+def norms_from_sigma(s) -> np.ndarray:
+    """Resolvent norms 1/sigma_min; exact hits (sigma 0) give inf."""
+    with np.errstate(divide="ignore"):
+        return np.where(s > 0.0, 1.0 / s, np.inf)
+
+
+def circle_directions(count: int) -> np.ndarray:
+    """count unit directions at the angles -pi + 2 pi (k + 1) / count."""
+    angles = -np.pi + 2.0 * np.pi * (np.arange(count) + 1) / count
+    return np.exp(1j * angles)
+
+
 # --- matrix file format ------------------------------------------------
 #
 # {"n": 3, "entries": [[re, im], ...]}   with n*n row-major entries

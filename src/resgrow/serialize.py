@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -76,9 +76,15 @@ def dumps(obj: Any, indent: int = 2) -> str:
     return _render(obj, indent, 0) + "\n"
 
 
-def csv_text(header: Sequence[str], rows: Iterable[Sequence[float]]) -> str:
-    """Render numeric rows as CSV with the 17-digit float format."""
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(format_float(v) for v in row))
-    return "\n".join(lines) + "\n"
+def csv_text(header: Sequence[str], rows: Sequence[Sequence[float]]) -> str:
+    """Render numeric rows as CSV with the 17-digit float format.
+
+    The whole table is formatted in one ``%.17g`` pass.  That writes
+    inf and nan, which are then spelled as format_float spells them; no
+    finite ``%.17g`` output contains those letters.
+    """
+    table = np.asarray(rows, dtype=float)
+    line = ",".join(["%.17g"] * table.shape[-1]) + "\n"
+    body = (line * table.shape[0]) % tuple(table.ravel().tolist())
+    body = body.replace("inf", "Infinity").replace("nan", "NaN")
+    return ",".join(header) + "\n" + body

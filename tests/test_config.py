@@ -19,7 +19,7 @@ def test_replace_builds_new_config():
 
 def test_frozen():
     with pytest.raises(AttributeError):
-        DEFAULT_CONFIG.seed = 1  # type: ignore[misc]
+        DEFAULT_CONFIG.max_steps = 1  # type: ignore[misc]
 
 
 def test_from_dict_overrides():
@@ -33,6 +33,8 @@ def test_from_dict_rejects_unknown_keys():
         config_from_dict({"tol_typo": 1.0})
     with pytest.raises(ValueError, match="unknown"):
         config_from_dict({"s_cert": 129})
+    with pytest.raises(ValueError, match="unknown"):
+        config_from_dict({"seed": 0})
 
 
 def test_from_dict_type_checks():

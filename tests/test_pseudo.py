@@ -3,8 +3,9 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import resgrow as rg
 
@@ -116,6 +117,70 @@ def test_connectivity_order_simple_cases(diag_grid):
     assert rg.connectivity_order(diag_grid, 0.8) == 1
     with pytest.raises(ValueError):
         rg.connectivity_order(diag_grid, 0.0)
+
+
+def _reference_labels(mask, connect8):
+    """Plain flood fill: components of mask numbered in scan order."""
+    nx, ny = mask.shape
+    steps = [
+        (di, dj)
+        for di in (-1, 0, 1)
+        for dj in (-1, 0, 1)
+        if (di or dj) and (connect8 or not (di and dj))
+    ]
+    labels = np.zeros(mask.shape, dtype=np.int32)
+    count = 0
+    for i in range(nx):
+        for j in range(ny):
+            if mask[i, j] and not labels[i, j]:
+                count += 1
+                labels[i, j] = count
+                todo = [(i, j)]
+                while todo:
+                    ci, cj = todo.pop()
+                    for di, dj in steps:
+                        ni, nj = ci + di, cj + dj
+                        if 0 <= ni < nx and 0 <= nj < ny and mask[ni, nj] and not labels[ni, nj]:
+                            labels[ni, nj] = count
+                            todo.append((ni, nj))
+    return labels, count
+
+
+def _mask_grid(mask):
+    """A grid whose sublevel set at epsilon 0.5 is exactly mask."""
+    nx, ny = mask.shape
+    return rg.PseudoGrid(0.0, 1.0, 0.0, 1.0, nx, ny, np.where(mask, 0.0, 1.0))
+
+
+def _checkerboard(nx, ny):
+    return (np.add.outer(np.arange(nx), np.arange(ny)) % 2).astype(bool)
+
+
+_sides = st.integers(1, 12)
+_masks = st.one_of(
+    arrays(bool, st.tuples(_sides, _sides)),
+    arrays(bool, st.tuples(st.just(2), _sides)),
+    st.tuples(_sides, _sides).map(lambda shape: _checkerboard(*shape)),
+    st.tuples(_sides, _sides, st.booleans()).map(lambda t: np.full(t[:2], t[2])),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(mask=_masks)
+@example(mask=_checkerboard(5, 6))
+@example(mask=np.ones((3, 4), dtype=bool))
+@example(mask=np.zeros((4, 3), dtype=bool))
+@example(mask=np.array([[1, 0, 1, 1, 0], [0, 1, 0, 1, 1]], dtype=bool))
+def test_labeling_matches_flood_fill(mask):
+    """Labels, count and dtype match a flood fill on the mask; the
+    complement count matches an 8-connected flood fill of ~mask."""
+    grid = _mask_grid(mask)
+    labeling = rg.components(grid, 0.5)
+    labels, count = _reference_labels(mask, connect8=False)
+    assert labeling.count == count
+    assert labeling.labels.dtype == labels.dtype
+    assert np.array_equal(labeling.labels, labels)
+    assert rg.connectivity_order(grid, 0.5) == _reference_labels(~mask, connect8=True)[1]
 
 
 def test_grid_metadata(diag_grid):

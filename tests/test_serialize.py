@@ -81,3 +81,15 @@ def test_csv_text():
     assert lines[1] == "0.5,1"
     assert lines[2] == "1,2.5"
     assert text.endswith("\n")
+
+
+def test_csv_text_matches_format_float():
+    rows = [
+        [math.inf, -math.inf, math.nan],
+        [-0.0, 5e-324, -5e-324],
+        [0.1, -1e300, 2.0 / 3.0],
+    ]
+    expected = "a,b,c\n" + "".join(",".join(map(format_float, row)) + "\n" for row in rows)
+    assert csv_text(["a", "b", "c"], rows) == expected
+    assert csv_text(["a", "b", "c"], np.array(rows)) == expected
+    assert csv_text(["a"], []) == "a\n"
