@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_CONFIG, RunConfig
-from .errors import NearSingularError  # noqa: F401  (re-exported convenience)
 from .linalg import (
     ShiftedSolver,
     as_matrix,
@@ -156,6 +155,7 @@ def analyze_point(a, z: complex, cfg: RunConfig = DEFAULT_CONFIG) -> ResolventPo
     """Complete resolvent analysis at a point in the resolvent set."""
     a = as_matrix(a)
     solver = ShiftedSolver(a, z, cfg)
+    # kept although min_left_vector is phase-fixed: a second pass changes psi's low bits
     psi = canonical_phase(solver.min_left_vector())
     alpha, beta, gamma, _ = _growth_quantities(solver, psi)
     norm = solver.norm

@@ -155,7 +155,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--meta", help="metadata JSON destination (default: <csv>.meta.json)")
     p.set_defaults(handler=_cmd_grid)
 
-    p = sub.add_parser("examples", parents=[common], help="generate specimen matrices")
+    # --config and --output belong to each generator: on the group as well,
+    # the generator's defaults would overwrite the values given before it
+    p = sub.add_parser("examples", help="generate specimen matrices")
     gen = p.add_subparsers(dest="name", required=True)
 
     g = gen.add_parser("diag", parents=[common], help="diagonal matrix")

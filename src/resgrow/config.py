@@ -10,7 +10,11 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
+
+# smallest legal value of each integer field; floats must be finite and >= 0
+_INT_MINIMUMS = {"s_seg": 2, "max_steps": 1, "max_halvings": 0}
 
 
 @dataclass(frozen=True)
@@ -29,9 +33,17 @@ class RunConfig:
     degeneracy_gap: float = 1e-6
     # samples per segment in the path line search
     s_seg: int = 33
-    # path search limits
+    # path search limits: max_steps vertices; along each direction (the
+    # analyzed one, then an escape fan) the steps d, d/2, ... down to d/4
+    # halved max_halvings times, d the distance to the spectrum
     max_steps: int = 10000
     max_halvings: int = 40
+
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            low = _INT_MINIMUMS.get(name, 0.0)
+            if not (math.isfinite(value) and value >= low):
+                raise ValueError(f"config key {name!r} must be finite and >= {low}, got {value}")
 
     def replace(self, **kw) -> "RunConfig":
         return dataclasses.replace(self, **kw)
@@ -40,7 +52,7 @@ class RunConfig:
 DEFAULT_CONFIG = RunConfig()
 
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(RunConfig)}
-_INT_FIELDS = {"s_seg", "max_steps", "max_halvings"}
+_INT_FIELDS = {name for name, kind in _FIELD_TYPES.items() if kind == "int"}
 
 
 def config_from_dict(data: dict) -> RunConfig:

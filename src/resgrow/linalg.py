@@ -14,7 +14,7 @@ systems are solved through the SVD factors.
 from __future__ import annotations
 
 import json
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -313,11 +313,3 @@ def load_matrix(path: str) -> np.ndarray:
             raise ValueError(f"malformed matrix file {path}: {exc}") from exc
     return matrix_from_dict(data)
 
-
-def matrix_from_sequence(entries: Sequence[complex]) -> np.ndarray:
-    """Square matrix from a row-major flat sequence (length must be n^2)."""
-    flat = np.asarray(entries, dtype=complex)
-    n = int(round(len(flat) ** 0.5))
-    if n * n != len(flat):
-        raise ValueError(f"flat entry count {len(flat)} is not a perfect square")
-    return as_matrix(flat.reshape(n, n))

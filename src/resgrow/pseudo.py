@@ -22,14 +22,13 @@ from .linalg import (
     eigenvalues,
     norms_from_sigma,
     sigma_min_batch,
-    spectral_distance,
 )
 from .serialize import complex_pair, csv_text
 
-# fraction of the spectral distance used as the first line-search rung
-_INITIAL_STEP_FRAC = 0.25
+# fraction of the spectral distance at which the escape fan is probed
+_FAN_PROBE_FRAC = 0.25
 
-# directions probed when escaping a local minimum vertex
+# directions in the escape fan tried after the analyzed direction
 _ESCAPE_DIRECTIONS = 16
 
 # relative progress a step must make over the current vertex norm
@@ -313,42 +312,40 @@ def certify_path(a, path: PolyPath, cfg: RunConfig = DEFAULT_CONFIG) -> PathCert
 
 
 def _line_search(
-    a,
-    x: complex,
-    direction: complex,
-    fx: float,
-    cap: float,
-    floor: float,
-    cfg: RunConfig,
+    a, x: complex, direction: complex, fx: float, cap: float, floor: float, cfg: RunConfig
 ) -> tuple[float, float] | None:
     """Largest admissible step along one direction, or None.
 
     A step t qualifies when the endpoint makes relative progress over
     fx and the norm stays at or above the global floor at s_seg
-    equispaced samples of the segment.  Rungs grow geometrically from
-    the initial fraction of the cap; when no rung qualifies the base
-    rung is halved, up to cfg.max_halvings times.
+    equispaced samples of the segment.  The steps tried, each once and
+    largest first, are cap, cap/2, cap/4, ... down to cap/4 halved
+    cfg.max_halvings times.
     """
     eta = _PROGRESS_REL * fx
     ts = np.linspace(0.0, 1.0, cfg.s_seg)
-    t0 = _INITIAL_STEP_FRAC * cap
-    for _ in range(cfg.max_halvings + 1):
-        ladder = []
-        t = t0
-        while t < cap:
-            ladder.append(t)
-            t *= 2.0
-        ladder.append(cap)
-        for t in reversed(ladder):
-            endpoint = x + t * direction
-            f_end = float(_norms_at(a, [endpoint])[0])
-            if not f_end > fx + eta:
-                continue
-            seg = x + (ts * t) * direction
-            if bool(np.all(_norms_at(a, seg) >= floor)):
-                return t, f_end
-        t0 *= 0.5
+    t = cap
+    for _ in range(cfg.max_halvings + 3):
+        f_end = float(_norms_at(a, [x + t * direction])[0])
+        if f_end > fx + eta and bool(np.all(_norms_at(a, x + (ts * t) * direction) >= floor)):
+            return t, f_end
+        t *= 0.5
     return None
+
+
+def _directions(a, x: complex, theta0: float | None, dist: float):
+    """Step directions from a vertex, in the order the search tries them.
+
+    The analyzed ascent direction comes first when there is one, then
+    the escape fan, best probed norm first.  The fan is probed only
+    when the search reaches it.
+    """
+    if theta0 is not None:
+        yield complex(np.exp(-1j * theta0))
+    fan = circle_directions(_ESCAPE_DIRECTIONS)
+    probe = _norms_at(a, x + (_FAN_PROBE_FRAC * dist) * fan)
+    for k in np.argsort(-probe):
+        yield complex(fan[k])
 
 
 def find_path(
@@ -358,10 +355,10 @@ def find_path(
 
     From each vertex the analyzed growth direction is followed with a
     geometric line search constrained to keep the norm above
-    f(z) - delta; local-minimum vertices try a fan of escape
-    directions, best first.  Once the spectrum is closer than
-    epsilon/2 the nearest eigenvalue is appended and the finished path
-    is certified.
+    f(z) - delta.  When that direction admits no step, or the vertex is
+    a local minimum and has none, a fan of escape directions is tried,
+    best first.  Once the spectrum is closer than epsilon/2 the nearest
+    eigenvalue is appended and the finished path is certified.
 
     Raises:
         DomainError: f(z) <= 1/epsilon (query outside the set).
@@ -391,11 +388,13 @@ def find_path(
     x = z
     fx = fz
     for _ in range(cfg.max_steps):
-        dist = spectral_distance(eigs, x)
+        gaps = np.abs(eigs - x)
+        nearest = int(np.argmin(gaps))
+        dist = float(gaps[nearest])
         if dist < 0.5 * epsilon:
             # nearest eigenvalue; ties resolve to the first in the
             # deterministic (re, im) eigenvalue order
-            lam = complex(eigs[int(np.argmin(np.abs(eigs - x)))])
+            lam = complex(eigs[nearest])
             vertices.append(lam)
             path = PolyPath(
                 vertices=tuple(vertices),
@@ -414,28 +413,19 @@ def find_path(
                 tuple(vertices),
                 reason="singular-vertex",
             ) from exc
-        if point.case is GrowthCase.LOCAL_MIN:
-            candidates = circle_directions(_ESCAPE_DIRECTIONS)
-            probe = _norms_at(a, x + (_INITIAL_STEP_FRAC * dist) * candidates)
-            directions = [complex(candidates[k]) for k in np.argsort(-probe)]
-        else:
-            directions = [complex(np.exp(-1j * point.theta0))]
-
-        chosen = None
-        for direction in directions:
+        for direction in _directions(a, x, point.theta0, dist):
             found = _line_search(a, x, direction, fx, dist, floor, cfg)
             if found is not None:
-                t, f_end = found
-                chosen = (x + t * direction, f_end)
                 break
-        if chosen is None:
+        else:
             raise SearchError(
-                f"no admissible step from {x} after {cfg.max_halvings} halvings",
+                f"no admissible step from {x} in any direction after {cfg.max_halvings} halvings",
                 tuple(vertices),
                 reason="step-failure",
                 suspected_local_min=point.case is GrowthCase.LOCAL_MIN,
             )
-        x, fx = chosen
+        t, fx = found
+        x = x + t * direction
         vertices.append(x)
 
     raise SearchError(

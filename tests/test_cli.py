@@ -239,6 +239,20 @@ def test_examples_bad_params_exit_2(capsys, tmp_path):
     capsys.readouterr()
 
 
+def test_examples_options_before_generator_exit_2(capsys, tmp_path):
+    # --output and --config go after the generator name; given before it
+    # they are a usage error, not overwritten by the generator's defaults
+    meta = tmp_path / "meta.json"
+    target = str(tmp_path / "d.json")
+    assert main(["examples", "--output", str(meta), "diag", "--entries", "0,0", "-o", target]) == 2
+    assert main(["examples", "--config", str(meta), "diag", "--entries", "0,0", "-o", target]) == 2
+    assert not meta.exists()
+    capsys.readouterr()
+    assert main(["examples", "diag", "--entries", "0,0", "-o", target, "--output", str(meta)]) == 0
+    assert json.loads(meta.read_text())["n"] == 1
+    assert capsys.readouterr().out == ""
+
+
 def test_localmin_command(capsys, shift4_file):
     code, out = run(capsys, "localmin", shift4_file, "--z", "0,0", "--r0", "0.05")
     assert code == 0

@@ -44,6 +44,23 @@ def test_from_dict_type_checks():
         config_from_dict({"s_seg": True})
     with pytest.raises(ValueError):
         config_from_dict({"tol_svd": "tiny"})
+    # values of the right type but outside the legal range
+    for bad in (
+        {"tol_singular": float("nan")},
+        {"tol_eig": float("inf")},
+        {"tol_zero": -1e-9},
+        {"max_halvings": -5},
+        {"max_steps": 0},
+        {"s_seg": 0},
+        {"s_seg": 1},
+    ):
+        with pytest.raises(ValueError):
+            config_from_dict(bad)
+    with pytest.raises(ValueError):
+        DEFAULT_CONFIG.replace(s_seg=1)
+    # the smallest legal values
+    cfg = config_from_dict({"s_seg": 2, "max_steps": 1, "max_halvings": 0, "tol_zero": 0})
+    assert (cfg.s_seg, cfg.max_steps, cfg.max_halvings, cfg.tol_zero) == (2, 1, 0, 0.0)
     # ints are acceptable where floats are expected
     assert config_from_dict({"tol_svd": 1}).tol_svd == 1.0
 

@@ -8,7 +8,6 @@ from resgrow.linalg import (
     as_matrix,
     as_vector,
     canonical_phase,
-    matrix_from_sequence,
     svd,
 )
 
@@ -248,10 +247,3 @@ def test_load_matrix_malformed(tmp_path):
     with pytest.raises(ValueError):
         rg.load_matrix(str(path))
 
-
-def test_matrix_from_sequence():
-    a = matrix_from_sequence([1, 2, 3, 4])
-    assert a.shape == (2, 2)
-    assert a[1, 0] == 3
-    with pytest.raises(ValueError):
-        matrix_from_sequence([1, 2, 3])

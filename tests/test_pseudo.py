@@ -1,4 +1,5 @@
 import dataclasses
+from contextlib import suppress
 from unittest import mock
 
 import numpy as np
@@ -8,6 +9,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import resgrow as rg
+from resgrow.linalg import norms_from_sigma
+from resgrow.pseudo import _line_search
 
 
 def test_grid_values_match_distance_for_normal(diag03):
@@ -243,6 +246,92 @@ def test_find_path_from_local_min(shift4):
     path, cert = rg.find_path(shift4, eps, 0j)
     assert cert.valid
     assert abs(path.eigenvalue) == pytest.approx(2.0 ** (-1.0 / 4.0))
+
+
+@pytest.mark.parametrize("weights, vertices", [((2, 1), 9), ((3, 1, 1, 1, 1, 1), 14)])
+def test_find_path_past_saddle(weights, vertices):
+    # from z = 0.05i the analyzed direction zig-zags across the imaginary
+    # axis toward a saddle until it admits no step; the escape fan then
+    # takes over
+    a = rg.operator_from_inverse(rg.circulant_weighted_shift_inverse(weights))
+    z = 0.05j
+    path, cert = rg.find_path(a, 1.2 / rg.resolvent_norm(a, z), z)
+    assert cert.valid
+    assert path.eigenvalue in set(rg.eigenvalues(a))
+    assert len(path.vertices) == vertices
+
+
+def test_find_path_evaluates_each_step_once():
+    # the saddle query above rejects many steps before the fan takes over;
+    # the search may succeed or fail, but no step is tried twice
+    a = rg.operator_from_inverse(rg.circulant_weighted_shift_inverse([2, 1]))
+    z = 0.05j
+    eps = 1.2 / rg.resolvent_norm(a, z)
+    calls = []
+
+    def recording(a_, zs):
+        calls.append(tuple(np.asarray(zs, dtype=complex).ravel()))
+        return rg.sigma_min_batch(a_, zs)
+
+    with mock.patch("resgrow.pseudo.sigma_min_batch", recording), suppress(rg.SearchError):
+        rg.find_path(a, eps, z)
+    endpoints = [zs[0] for zs in calls if len(zs) == 1]
+    assert len(set(endpoints)) == len(endpoints)
+    assert len(set(calls)) == len(calls)
+
+
+def _reference_line_search(a, x, direction, fx, cap, floor, cfg):
+    """Halving x ladder search: every halving rescans the ladder from cap."""
+    eta = 1e-9 * fx
+    ts = np.linspace(0.0, 1.0, cfg.s_seg)
+    t0 = 0.25 * cap
+    for _ in range(cfg.max_halvings + 1):
+        ladder = []
+        t = t0
+        while t < cap:
+            ladder.append(t)
+            t *= 2.0
+        ladder.append(cap)
+        for t in reversed(ladder):
+            f_end = float(norms_from_sigma(rg.sigma_min_batch(a, [x + t * direction]))[0])
+            if not f_end > fx + eta:
+                continue
+            seg = x + (ts * t) * direction
+            if bool(np.all(norms_from_sigma(rg.sigma_min_batch(a, seg)) >= floor)):
+                return t, f_end
+        t0 *= 0.5
+    return None
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    n=st.integers(1, 6),
+    seed=st.integers(0, 2**20),
+    turn=st.floats(-2.0, 2.0),
+    cap_frac=st.floats(0.01, 4.0),
+    floor_frac=st.floats(0.5, 1.0),
+    max_halvings=st.integers(0, 8),
+    s_seg=st.integers(2, 17),
+)
+# steps found 5, 8 and 9 halvings below the cap, the last at the bottom of its scan
+@example(n=1, seed=485742, turn=1.54, cap_frac=1.27, floor_frac=0.51, max_halvings=5, s_seg=15)
+@example(n=6, seed=284547, turn=1.57, cap_frac=0.48, floor_frac=0.74, max_halvings=6, s_seg=16)
+@example(n=1, seed=15177, turn=-1.57, cap_frac=0.72, floor_frac=0.99, max_halvings=7, s_seg=15)
+def test_line_search_matches_ladder(n, seed, turn, cap_frac, floor_frac, max_halvings, s_seg):
+    """The one-pass step scan returns exactly the ladder search's step.
+
+    The direction is the analyzed ascent direction turned by up to 2
+    radians and the cap runs up to four times the spectral distance, so
+    steps are found at several depths of the scan, and sometimes none.
+    """
+    a = rg.random_dense(n, seed)
+    rng = np.random.default_rng(seed)
+    point = rg.analyze_point(a, complex(*rng.standard_normal(2)))
+    direction = complex(np.exp(1j * (turn - (point.theta0 or 0.0))))
+    cfg = rg.DEFAULT_CONFIG.replace(max_halvings=max_halvings, s_seg=s_seg)
+    cap = cap_frac * point.spectral_distance
+    args = (a, point.z, direction, point.norm, cap, floor_frac * point.norm, cfg)
+    assert _line_search(*args) == _reference_line_search(*args)
 
 
 def test_find_path_domain_and_validation(diag03):
