@@ -8,7 +8,8 @@ explicit near-singularity detection, and a deterministic choice of
 singular vector when the bottom singular space is (nearly) degenerate.
 
 The resolvent itself is never formed as an explicit inverse; shifted
-systems are solved through the SVD factors.
+systems are solved through the SVD factors, or, for large batches of
+sigma_min evaluations, by triangular solves with the Schur form.
 """
 
 from __future__ import annotations
@@ -220,15 +221,121 @@ def shifted_solve(a, z: complex, b, cfg: RunConfig = DEFAULT_CONFIG) -> np.ndarr
 def sigma_min_batch(a, zs, chunk_bytes: int = 1 << 26) -> np.ndarray:
     """Smallest singular value of A - zI for every z in a 1-D array.
 
-    Never raises on singularity: exact eigenvalue hits simply store 0.
-    The shifted matrices are stacked and factored in chunks so the
-    temporary stays below roughly ``chunk_bytes``.
+    Fewer than ``_SCHUR_MIN_POINTS`` points, or n < ``_SCHUR_MIN_N``:
+    one batched SVD of the shifted matrices per chunk, the accuracy
+    reference.  Otherwise A = Z T Z* is factored once (complex Schur
+    form): sigma_min(T - zI) is min_i |t_ii - z| if T is diagonal to
+    n·u·||A||_F (Weyl), else inverse Lanczos on ((T - zI)*(T - zI))^-1
+    runs for all points in lockstep until the top Ritz value settles to
+    1e-14 relative.  That agrees with the SVD to 1e-12·sigma +
+    n·u·||A||_F and bounds sigma_min(T - zI) from above.  Points that
+    overflow or do not settle in ``_LANCZOS_MAX_ITER`` steps, or all if
+    the factorization fails, are redone by the SVD.  Only this route
+    imports scipy.
+
+    Never raises on singularity: exact hits store 0 (on the Schur route,
+    z = some t_ii).  Chunks keep temporaries below about ``chunk_bytes``.
     """
     a = as_matrix(a)
     zs = np.asarray(zs, dtype=complex).ravel()
     n = a.shape[0]
-    out = np.empty(zs.shape[0], dtype=float)
     chunk = max(1, chunk_bytes // (16 * n * n))
+    if n >= _SCHUR_MIN_N and zs.shape[0] >= _SCHUR_MIN_POINTS:
+        return _sigma_min_schur(a, zs, chunk)
+    return _sigma_min_svd(a, zs, chunk)
+
+
+# Below either size the batched SVD is faster (tools/sigma_min_crossover.py);
+# then the Ritz value settling tolerance, the Lanczos step cap before the
+# SVD takes over, and the block size where triangular solves stop splitting.
+_SCHUR_MIN_N = 48
+_SCHUR_MIN_POINTS = 64
+_LANCZOS_REL = 1e-14
+_LANCZOS_MAX_ITER = 24
+_LEAF_ROWS = 16
+
+
+def _sigma_min_schur(a: np.ndarray, zs: np.ndarray, chunk: int) -> np.ndarray:
+    # imported here: at module level it would slow `import resgrow` by 0.36 s
+    from scipy.linalg.lapack import zgees
+
+    # T only: skipping the unused Schur vectors halves scipy.linalg.schur's time
+    lwork = int(zgees(lambda _: False, a, compute_v=0, lwork=-1)[-2][0].real)
+    t, *_, info = zgees(lambda _: False, a, compute_v=0, lwork=lwork)
+    if info != 0:
+        return _sigma_min_svd(a, zs, chunk)
+    normal = np.linalg.norm(np.triu(t, 1)) <= t.shape[0] * np.finfo(float).eps * np.linalg.norm(t)
+    out = np.empty(zs.shape[0], dtype=float)
+    for start in range(0, zs.shape[0], chunk):
+        zz = zs[start : start + chunk]
+        if normal:
+            out[start : start + chunk] = np.abs(np.diagonal(t)[:, None] - zz).min(axis=0)
+        else:
+            out[start : start + chunk] = _inverse_lanczos(t, zz)
+    redo = np.isnan(out)
+    out[redo] = _sigma_min_svd(a, zs[redo], chunk)
+    return out
+
+
+def _solve_upper(t: np.ndarray, dg: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve (T - z_p I) x_p = b_p for every column p, with T upper
+    triangular and dg[i, p] = t_ii - z_p.  Off-diagonal blocks do not
+    depend on z, so each is one shared product."""
+    n = t.shape[0]
+    if n <= _LEAF_ROWS:
+        x = np.empty_like(b)
+        for i in range(n - 1, -1, -1):
+            x[i] = (b[i] - t[i, i + 1 :] @ x[i + 1 :]) / dg[i]
+        return x
+    h = n // 2
+    x2 = _solve_upper(t[h:, h:], dg[h:], b[h:])
+    x1 = _solve_upper(t[:h, :h], dg[:h], b[:h] - t[:h, h:] @ x2)
+    return np.concatenate((x1, x2))
+
+
+def _inverse_lanczos(t: np.ndarray, zs: np.ndarray) -> np.ndarray:
+    """sigma_min(T - zI) by Lanczos on ((T - zI)*(T - zI))^-1, all points in
+    lockstep from one start vector; NaN where it overflows or does not settle."""
+    n, cap = t.shape[0], _LANCZOS_MAX_ITER
+    dg = np.diagonal(t)[:, None] - zs[None, :]
+    out = np.where((dg == 0.0).any(axis=0), 0.0, np.nan)
+    act = np.flatnonzero(np.isnan(out))
+    dg = dg[:, act]
+    # T* - conj(z) I is lower triangular; reversing rows and columns makes
+    # it upper, so one back substitution serves both solves
+    t_low, dg_low = np.ascontiguousarray(t.conj().T[::-1, ::-1]), dg.conj()[::-1]
+    start_vec = np.random.default_rng(0).standard_normal((n, 2)) @ np.array([1.0, 1.0j])
+    q = np.repeat(start_vec[:, None] / np.linalg.norm(start_vec), act.shape[0], axis=1)
+    q_prev, beta, theta = np.zeros_like(q), np.zeros(act.shape[0]), np.zeros(act.shape[0])
+    coef = np.zeros((2, cap, act.shape[0]))  # alpha_k, beta_k per point
+    with np.errstate(all="ignore"):
+        for k in range(cap):
+            w = _solve_upper(t, dg, _solve_upper(t_low, dg_low, q[::-1])[::-1]) - beta * q_prev
+            alpha = np.einsum("ip,ip->p", q.conj(), w).real
+            w -= alpha * q
+            beta = np.linalg.norm(w, axis=0)
+            coef[:, k] = alpha, beta
+            # the Lanczos tridiagonals; eigvalsh reads the lower half only
+            ab = coef[:, : k + 1].transpose(2, 0, 1)
+            tri = ab[:, 0, :, None] * np.eye(k + 1) + ab[:, 1, None, :] * np.eye(k + 1, k=-1)
+            finite = np.isfinite(alpha) & np.isfinite(beta)
+            theta_old, theta = theta, np.full(act.shape[0], np.nan)
+            theta[finite] = np.linalg.eigvalsh(tri[finite])[:, -1]
+            settled = (k > 0) & (np.abs(theta - theta_old) <= _LANCZOS_REL * theta)
+            done = np.isfinite(theta) & ((beta == 0.0) | settled)
+            out[act[done]] = 1.0 / np.sqrt(theta[done])
+            keep = np.isfinite(theta) & ~done
+            if not keep.any():
+                break
+            state = (act, dg, dg_low, q, w, beta, theta, coef)
+            act, dg, dg_low, q_prev, w, beta, theta, coef = (v[..., keep] for v in state)
+            q = w / beta
+    return out
+
+
+def _sigma_min_svd(a: np.ndarray, zs: np.ndarray, chunk: int) -> np.ndarray:
+    n = a.shape[0]
+    out = np.empty(zs.shape[0], dtype=float)
     eye = np.eye(n)
     for start in range(0, zs.shape[0], chunk):
         zz = zs[start : start + chunk]

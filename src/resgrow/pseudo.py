@@ -317,13 +317,13 @@ def _line_search(
     """Largest admissible step along one direction, or None.
 
     A step t qualifies when the endpoint makes relative progress over
-    fx and the norm stays at or above the global floor at s_seg
-    equispaced samples of the segment.  The steps tried, each once and
-    largest first, are cap, cap/2, cap/4, ... down to cap/4 halved
-    cfg.max_halvings times.
+    fx and the norm stays at or above the global floor at the interior
+    ones of s_seg equispaced samples (fx and the endpoint exceed it).
+    The steps tried, each once and largest first, are cap, cap/2,
+    cap/4, ... down to cap/4 halved cfg.max_halvings times.
     """
     eta = _PROGRESS_REL * fx
-    ts = np.linspace(0.0, 1.0, cfg.s_seg)
+    ts = np.linspace(0.0, 1.0, cfg.s_seg)[1:-1]
     t = cap
     for _ in range(cfg.max_halvings + 3):
         f_end = float(_norms_at(a, [x + t * direction])[0])

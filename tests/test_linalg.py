@@ -1,9 +1,13 @@
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import resgrow as rg
+from resgrow import linalg
 from resgrow.linalg import (
     as_matrix,
     as_vector,
@@ -199,6 +203,112 @@ def test_sigma_min_batch_chunking_and_exact_hits(diag03):
     assert vals[0] == pytest.approx(0.0, abs=1e-14)
     assert vals[1] == pytest.approx(0.0, abs=1e-14)
     assert vals[2] == pytest.approx(1.0)
+    # the Schur route, in chunks of 7 points: exact hits, overflowing
+    # points and ordinary ones mixed across chunk boundaries
+    n = 48
+    a = rg.jordan_block(n, 0.3 - 0.2j)
+    zs = _schur_test_points(a, np.random.default_rng(3), 64)
+    vals = rg.sigma_min_batch(a, zs, chunk_bytes=7 * 16 * n * n)
+    _assert_matches_svd(a, zs, vals)
+
+
+def _svd_sigma_min(a, zs):
+    """Reference: sigma_min of every shifted matrix by one batched SVD."""
+    stack = a[None, :, :] - np.asarray(zs)[:, None, None] * np.eye(a.shape[0])
+    return np.linalg.svd(stack, compute_uv=False)[:, -1]
+
+
+def _grcar(n):
+    """-1 on the subdiagonal, 1 on the diagonal and three superdiagonals."""
+    return np.eye(n, k=-1) * -1.0 + sum(np.eye(n, k=k) for k in range(4)) + 0j
+
+
+_SCHUR_FAMILIES = {
+    "random_dense": lambda n: rg.random_dense(n, n),
+    "jordan": lambda n: rg.jordan_block(n, 0.3 - 0.2j),
+    "triangular": lambda n: np.triu(rg.random_dense(n, n)),
+    "grcar": _grcar,
+    "shift": lambda n: rg.operator_from_inverse(
+        rg.circulant_weighted_shift_inverse([2.0] + [1.0] * (n - 1))
+    ),
+    "zigzag": rg.zigzag_diagonal,
+}
+
+
+def _schur_test_points(a, rng, count):
+    """count random points in a box around the spectrum; for a
+    triangular A also every diagonal entry (exact hits) and, for a
+    Jordan block, points 1e-4 to 1e-6 from its eigenvalue, where
+    sigma_min underflows and inverse Lanczos overflows."""
+    r = 1.2 * np.linalg.norm(a, 2)
+    zs = [rng.uniform(-r, r, count) + 1j * rng.uniform(-r, r, count)]
+    if not np.tril(a, -1).any():
+        zs.append(np.diagonal(a)[:: max(1, a.shape[0] // 5)])
+    if np.all(np.diagonal(a, 1) == 1.0) and not np.triu(a, 2).any():
+        zs.append(a[0, 0] + np.array([1e-4, -1e-5j, 1e-6 + 1e-6j]))
+    return rng.permutation(np.concatenate(zs))
+
+
+def _assert_matches_svd(a, zs, vals):
+    ref = _svd_sigma_min(a, zs)
+    slack = a.shape[0] * np.finfo(float).eps * np.linalg.norm(a)
+    assert np.all(np.abs(vals - ref) <= 1e-12 * ref + slack)
+    hits = (zs[:, None] == np.diagonal(a)[None, :]).any(axis=1)
+    if not np.tril(a, -1).any():
+        assert np.all(vals[hits] == 0.0)
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(
+    family=st.sampled_from(sorted(_SCHUR_FAMILIES)),
+    n=st.integers(48, 96),
+    seed=st.integers(0, 2**20),
+)
+def test_schur_route_matches_svd(family, n, seed):
+    a = _SCHUR_FAMILIES[family](n)
+    zs = _schur_test_points(a, np.random.default_rng(seed), 64)
+    _assert_matches_svd(a, zs, rg.sigma_min_batch(a, zs))
+
+
+def _svd_batches(a, zs):
+    """sigma_min_batch(a, zs) and the batch size of every np.linalg.svd call."""
+    sizes = []
+    real_svd = np.linalg.svd
+
+    def recording(m, *args, **kwargs):
+        sizes.append(1 if m.ndim == 2 else m.shape[0])
+        return real_svd(m, *args, **kwargs)
+
+    with mock.patch("numpy.linalg.svd", recording):
+        vals = rg.sigma_min_batch(a, zs)
+    return vals, sizes
+
+
+def test_sigma_min_batch_dispatch():
+    rng = np.random.default_rng(11)
+    zs = rng.standard_normal(96) + 1j * rng.standard_normal(96)
+    assert linalg._SCHUR_MIN_N == 48 and linalg._SCHUR_MIN_POINTS == 64
+    # Schur route: no SVD at all
+    a = rg.random_dense(64, 1)
+    vals, sizes = _svd_batches(a, zs)
+    assert sizes == []
+    _assert_matches_svd(a, zs, vals)
+    # a diagonal T takes the min |t_ii - z| shortcut, without Lanczos steps
+    zigzag = rg.zigzag_diagonal(64)
+    with mock.patch.object(linalg, "_inverse_lanczos", side_effect=AssertionError):
+        _assert_matches_svd(zigzag, zs, rg.sigma_min_batch(zigzag, zs))
+    # one point too few, or n one too small: the batched SVD
+    assert _svd_batches(a, zs[:63])[1] == [63]
+    assert _svd_batches(rg.random_dense(47, 1), zs)[1] == [96]
+    # inside the unit disk around a Jordan eigenvalue inverse Lanczos
+    # settles in a few steps, except where sigma_min underflows and the
+    # iteration overflows: those three points are redone by the SVD
+    jordan = rg.jordan_block(64, 0.5)
+    inside = 0.5 + rng.uniform(0.3, 0.9, 93) * np.exp(2j * np.pi * rng.uniform(size=93))
+    zs = np.concatenate((inside, 0.5 + np.array([1e-4, 1e-5j, -1e-6])))
+    vals, sizes = _svd_batches(jordan, zs)
+    assert sizes == [3]
+    _assert_matches_svd(jordan, zs, vals)
 
 
 def test_matrix_dict_roundtrip():

@@ -263,7 +263,8 @@ def test_find_path_past_saddle(weights, vertices):
 
 def test_find_path_evaluates_each_step_once():
     # the saddle query above rejects many steps before the fan takes over;
-    # the search may succeed or fail, but no step is tried twice
+    # the search may succeed or fail, but no step is tried twice, and no
+    # floor test re-evaluates its vertex or its endpoint
     a = rg.operator_from_inverse(rg.circulant_weighted_shift_inverse([2, 1]))
     z = 0.05j
     eps = 1.2 / rg.resolvent_norm(a, z)
@@ -273,11 +274,17 @@ def test_find_path_evaluates_each_step_once():
         calls.append(tuple(np.asarray(zs, dtype=complex).ravel()))
         return rg.sigma_min_batch(a_, zs)
 
-    with mock.patch("resgrow.pseudo.sigma_min_batch", recording), suppress(rg.SearchError):
+    with (
+        mock.patch("resgrow.pseudo.sigma_min_batch", recording),
+        mock.patch("resgrow.pseudo.certify_path"),
+        suppress(rg.SearchError),
+    ):
         rg.find_path(a, eps, z)
     endpoints = [zs[0] for zs in calls if len(zs) == 1]
     assert len(set(endpoints)) == len(endpoints)
     assert len(set(calls)) == len(calls)
+    batched = {p for zs in calls if len(zs) > 1 for p in zs}
+    assert batched.isdisjoint(endpoints)
 
 
 def _reference_line_search(a, x, direction, fx, cap, floor, cfg):
