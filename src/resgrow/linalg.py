@@ -224,17 +224,17 @@ def sigma_min_batch(a, zs, chunk_bytes: int = 1 << 26) -> np.ndarray:
     Fewer than ``_SCHUR_MIN_POINTS`` points, or n < ``_SCHUR_MIN_N``:
     one batched SVD of the shifted matrices per chunk, the accuracy
     reference.  Otherwise A = Z T Z* is factored once (complex Schur
-    form): sigma_min(T - zI) is min_i |t_ii - z| if T is diagonal to
-    n·u·||A||_F (Weyl), else inverse Lanczos on ((T - zI)*(T - zI))^-1
-    runs for all points in lockstep until the top Ritz value settles to
-    1e-14 relative.  That agrees with the SVD to 1e-12·sigma +
-    n·u·||A||_F and bounds sigma_min(T - zI) from above.  Points that
-    overflow or do not settle in ``_LANCZOS_MAX_ITER`` steps, or all if
-    the factorization fails, are redone by the SVD.  Only this route
-    imports scipy.
+    form).  If N = triu(T, 1) has ||N||_F <= n·u·||A||_F, sigma_min(T - zI)
+    is taken as min_i |t_ii - z| + ||N||_F (Weyl), else inverse Lanczos on
+    ((T - zI)*(T - zI))^-1 runs for all points in lockstep until the top
+    Ritz value settles to 1e-14 relative.  Either agrees with the SVD to
+    1e-12·sigma + n·u·||A||_F and bounds sigma_min(T - zI) from above.
+    Points that overflow or do not settle in ``_LANCZOS_MAX_ITER`` steps,
+    or all if the factorization fails, are redone by the SVD.  Only this
+    route imports scipy.
 
-    Never raises on singularity: exact hits store 0 (on the Schur route,
-    z = some t_ii).  Chunks keep temporaries below about ``chunk_bytes``.
+    Never raises on singularity: exact hits store 0 (in Lanczos, z = some
+    t_ii).  Chunks keep temporaries below about ``chunk_bytes``.
     """
     a = as_matrix(a)
     zs = np.asarray(zs, dtype=complex).ravel()
@@ -264,12 +264,12 @@ def _sigma_min_schur(a: np.ndarray, zs: np.ndarray, chunk: int) -> np.ndarray:
     t, *_, info = zgees(lambda _: False, a, compute_v=0, lwork=lwork)
     if info != 0:
         return _sigma_min_svd(a, zs, chunk)
-    normal = np.linalg.norm(np.triu(t, 1)) <= t.shape[0] * np.finfo(float).eps * np.linalg.norm(t)
+    off = np.linalg.norm(np.triu(t, 1))
     out = np.empty(zs.shape[0], dtype=float)
     for start in range(0, zs.shape[0], chunk):
         zz = zs[start : start + chunk]
-        if normal:
-            out[start : start + chunk] = np.abs(np.diagonal(t)[:, None] - zz).min(axis=0)
+        if off <= t.shape[0] * np.finfo(float).eps * np.linalg.norm(t):
+            out[start : start + chunk] = np.abs(np.diagonal(t)[:, None] - zz).min(axis=0) + off
         else:
             out[start : start + chunk] = _inverse_lanczos(t, zz)
     redo = np.isnan(out)

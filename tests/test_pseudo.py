@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import resgrow as rg
+from resgrow import linalg
 from resgrow.linalg import norms_from_sigma
 from resgrow.pseudo import _line_search
 
@@ -263,27 +264,35 @@ def test_find_path_past_saddle(weights, vertices):
 
 def test_find_path_evaluates_each_step_once():
     # the saddle query above rejects many steps before the fan takes over;
-    # the search may succeed or fail, but no step is tried twice, and no
-    # floor test re-evaluates its vertex or its endpoint
+    # the search may succeed or fail, but no evaluation, the certificate's
+    # included, is made twice, and no floor test of the search
+    # re-evaluates its vertex or its endpoint
     a = rg.operator_from_inverse(rg.circulant_weighted_shift_inverse([2, 1]))
     z = 0.05j
     eps = 1.2 / rg.resolvent_norm(a, z)
     calls = []
+    search_calls = None
 
     def recording(a_, zs):
         calls.append(tuple(np.asarray(zs, dtype=complex).ravel()))
         return rg.sigma_min_batch(a_, zs)
 
+    def certifying(*args, **kwargs):
+        nonlocal search_calls
+        search_calls = len(calls)
+        return rg.certify_path(*args, **kwargs)
+
     with (
         mock.patch("resgrow.pseudo.sigma_min_batch", recording),
-        mock.patch("resgrow.pseudo.certify_path"),
+        mock.patch("resgrow.pseudo.certify_path", certifying),
         suppress(rg.SearchError),
     ):
         rg.find_path(a, eps, z)
-    endpoints = [zs[0] for zs in calls if len(zs) == 1]
-    assert len(set(endpoints)) == len(endpoints)
     assert len(set(calls)) == len(calls)
-    batched = {p for zs in calls if len(zs) > 1 for p in zs}
+    search = calls if search_calls is None else calls[:search_calls]
+    endpoints = [zs[0] for zs in search if len(zs) == 1]
+    assert len(set(endpoints)) == len(endpoints)
+    batched = {p for zs in search if len(zs) > 1 for p in zs}
     assert batched.isdisjoint(endpoints)
 
 
@@ -478,6 +487,64 @@ def test_certificate_is_sound(n, seed, tighten):
     assert cert.min_f_on_path == 1.0 / sigma.max()
     if cert.valid:
         assert dense.max() <= _sigma_floor(cert, path)
+
+
+def _unitarily_diagonal(n, seed):
+    """Q D Q* with Q unitary: normal, and its Schur form is diagonal
+    only to rounding."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    d = 0.5 * np.sqrt(n) * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    return (q * d) @ q.conj().T
+
+
+@pytest.mark.parametrize("kind", ["random_dense", "normal"])
+def test_certificate_is_sound_on_schur_route(kind):
+    """The floor verdict holds under dense SVD re-sampling when the
+    certificate's sigma values come from the Schur route: inverse Lanczos
+    for the non-normal matrix, the diagonal shortcut for the normal one.
+
+    The found path's segments are cut into 80 vertices, so that the
+    vertex batch alone takes the Schur route; the cut vertices need not
+    have increasing norms, so only the floor verdict is checked.  Every
+    value the certificate reads lies above the SVD's less its rounding
+    slack, which is what its Lipschitz bound needs.
+    """
+    n = linalg._SCHUR_MIN_N
+    a = rg.random_dense(n, 2) if kind == "random_dense" else _unitarily_diagonal(n, 2)
+    rng = np.random.default_rng(2)
+    z = complex(*(np.sqrt(n) * rng.standard_normal(2)))
+    f = rg.resolvent_norm(a, z)
+    path, _ = rg.find_path(a, 1.3 / f, z)
+    verts = np.asarray(path.vertices)
+    ts = np.linspace(0.0, 1.0, 80 // (verts.shape[0] - 1) + 1)[:-1]
+    cut = np.append((verts[:-1, None] + ts * np.diff(verts)[:, None]).ravel(), verts[-1])
+    path = dataclasses.replace(path, vertices=tuple(cut))
+    ts = np.linspace(0.0, 1.0, 1025)
+    dense = linalg._sigma_min_svd(a, (verts[:-1, None] + ts * np.diff(verts)[:, None]).ravel(), 4096)
+    verdicts = set()
+    for tighten in (None, -0.01, -1e-4, 1e-4, 0.01):
+        if tighten is not None:
+            inv_eps = 1.0 / path.epsilon
+            target = (1.0 + tighten) / float(dense.max())
+            path = dataclasses.replace(path, delta=f - inv_eps - 2.0 * (target - inv_eps))
+        calls = []
+
+        def recording(a_, zs):
+            calls.append((zs, rg.sigma_min_batch(a_, zs)))
+            return calls[-1][1]
+
+        with mock.patch("resgrow.pseudo.sigma_min_batch", recording):
+            cert = rg.certify_path(a, path)
+        assert calls[0][0].shape[0] >= linalg._SCHUR_MIN_POINTS
+        slack = n * np.finfo(float).eps * (np.linalg.norm(a, 2) + np.abs(cut).max())
+        for zs, values in calls:
+            assert np.all(values >= linalg._sigma_min_svd(a, zs, 4096) - slack)
+        proved = not {"min_f_margin", "min_f_unproved"} & set(cert.failures)
+        verdicts.add(proved)
+        if proved:
+            assert dense.max() <= _sigma_floor(cert, path)
+    assert verdicts == {True, False}
 
 
 def test_find_path_singular_vertex():

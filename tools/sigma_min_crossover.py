@@ -10,6 +10,13 @@ route, the Schur factorization included, for n in {16, 32, 48, 64, 96,
 medians over the repeats, on one BLAS thread.  The thresholds
 ``_SCHUR_MIN_N`` and ``_SCHUR_MIN_POINTS`` in ``resgrow.linalg`` are
 read off this table.
+
+A second table times both routes at n = 64, P = 96 on random_dense and
+on structured matrices: zigzag takes the diagonal shortcut, and on
+Jordan and Grcar the singular values cluster, so inverse Lanczos
+converges slowly and some points reach the step cap and are redone by
+the SVD.  Its points have the same Gaussian scale, 0.5·sqrt(64) = 4,
+or scale 1.
 """
 
 from __future__ import annotations
@@ -27,12 +34,19 @@ os.environ["OPENBLAS_NUM_THREADS"] = "1"
 import numpy as np  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
-from resgrow import random_dense  # noqa: E402
+from resgrow import jordan_block, random_dense, zigzag_diagonal  # noqa: E402
 from resgrow.linalg import _sigma_min_schur, _sigma_min_svd  # noqa: E402
 
 SIZES = (16, 32, 48, 64, 96, 128)
 BATCHES = (1, 17, 33, 64, 96, 258)
 CHUNK = 1 << 20  # far above any batch here: one chunk per call
+STRUCTURED = {
+    "random_dense(64, 64)": lambda: random_dense(64, 64),
+    "jordan_block(64, 0.5)": lambda: jordan_block(64, 0.5),
+    # -1 on the subdiagonal, 1 on the diagonal and three superdiagonals
+    "grcar(64)": lambda: sum(np.eye(64, k=k) for k in range(4)) - np.eye(64, k=-1) + 0j,
+    "zigzag_diagonal(64)": lambda: zigzag_diagonal(64),
+}
 
 
 def us_per_point(route, a, zs, repeats: int) -> float:
@@ -42,6 +56,13 @@ def us_per_point(route, a, zs, repeats: int) -> float:
         route(a, zs, CHUNK)
         times.append(time.perf_counter() - start)
     return 1e6 * statistics.median(times) / zs.shape[0]
+
+
+def cell(a, zs, repeats: int) -> str:
+    """'svd / schur' microseconds per point, right-aligned in 16 columns."""
+    svd = us_per_point(_sigma_min_svd, a, zs, repeats)
+    schur = us_per_point(_sigma_min_schur, a, zs, repeats)
+    return f"{svd:>7.0f} /{schur:>6.0f}".rjust(16)
 
 
 def main(argv=None) -> None:
@@ -58,10 +79,17 @@ def main(argv=None) -> None:
         cells = []
         for p in BATCHES:
             zs = 0.5 * np.sqrt(n) * (rng.standard_normal(p) + 1j * rng.standard_normal(p))
-            svd = us_per_point(_sigma_min_svd, a, zs, args.repeats)
-            schur = us_per_point(_sigma_min_schur, a, zs, args.repeats)
-            cells.append(f"{svd:>7.0f} /{schur:>6.0f}")
-        print(f"{n:>5} " + "".join(f"{c:>16}" for c in cells))
+            cells.append(cell(a, zs, args.repeats))
+        print(f"{n:>5} " + "".join(cells))
+    print("\nn = 64, P = 96, us per point (svd / schur)")
+    print(f"{'matrix':<22}{'scale 4':>16}{'scale 1':>16}")
+    for name, make in STRUCTURED.items():
+        a = make()
+        cells = []
+        for scale in (0.5 * np.sqrt(64), 1.0):
+            zs = scale * (rng.standard_normal(96) + 1j * rng.standard_normal(96))
+            cells.append(cell(a, zs, args.repeats))
+        print(f"{name:<22}" + "".join(cells))
 
 
 if __name__ == "__main__":
