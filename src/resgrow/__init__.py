@@ -39,6 +39,7 @@ from .growth import (
     verify_growth_bound,
 )
 from .linalg import (
+    Operator,
     ShiftedSolver,
     eigenvalues,
     load_matrix,
@@ -83,6 +84,7 @@ __all__ = [
     "GrowthCase",
     "LocalMinProbe",
     "NearSingularError",
+    "Operator",
     "PathCertificate",
     "PolyPath",
     "PseudoGrid",

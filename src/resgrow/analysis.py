@@ -21,14 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_CONFIG, RunConfig
-from .linalg import (
-    ShiftedSolver,
-    as_matrix,
-    as_vector,
-    canonical_phase,
-    eigenvalues,
-    spectral_distance,
-)
+from .linalg import ShiftedSolver, as_operator, as_vector, canonical_phase, spectral_distance
 from .serialize import complex_pair
 
 
@@ -152,15 +145,15 @@ def classify_and_direction(
 
 
 def analyze_point(a, z: complex, cfg: RunConfig = DEFAULT_CONFIG) -> ResolventPoint:
-    """Complete resolvent analysis at a point in the resolvent set."""
-    a = as_matrix(a)
-    solver = ShiftedSolver(a, z, cfg)
+    """Complete resolvent analysis at a resolvent-set point of a matrix or an Operator."""
+    op = as_operator(a)
+    solver = ShiftedSolver(op, z, cfg)
     # kept although min_left_vector is phase-fixed: a second pass changes psi's low bits
     psi = canonical_phase(solver.min_left_vector())
     alpha, beta, gamma, _ = _growth_quantities(solver, psi)
     norm = solver.norm
     case, theta0 = classify_and_direction(alpha, gamma, norm, cfg)
-    dist = spectral_distance(eigenvalues(a, cfg), z)
+    dist = spectral_distance(op.eigenvalues, z)
     return ResolventPoint(
         z=complex(z),
         norm=norm,

@@ -29,7 +29,7 @@ from .growth import (
     taylor_remainder_check,
     verify_growth_bound,
 )
-from .linalg import load_matrix, save_matrix
+from .linalg import Operator, load_matrix, save_matrix
 from .pseudo import find_path, grid_metadata, grid_sigma_min
 from .serialize import complex_pair, dumps
 from .zoo import (
@@ -214,7 +214,7 @@ def _cmd_analyze(args, cfg: RunConfig) -> int:
 
 
 def _cmd_growth(args, cfg: RunConfig) -> int:
-    a = load_matrix(args.matrix)
+    a = Operator(load_matrix(args.matrix))
     point = analyze_point(a, args.z, cfg)
     if args.a0 is not None:
         report = sample_segment(a, point, args.a0, args.samples, args.theta, cfg)
@@ -286,7 +286,7 @@ def _cmd_localmin(args, cfg: RunConfig) -> int:
 
 
 def _cmd_taylor(args, cfg: RunConfig) -> int:
-    a = load_matrix(args.matrix)
+    a = Operator(load_matrix(args.matrix))
     point = analyze_point(a, args.z, cfg)
     theta = args.theta if args.theta is not None else point.theta0
     if theta is None:

@@ -20,10 +20,9 @@ from .config import DEFAULT_CONFIG, RunConfig
 from .errors import DomainError
 from .linalg import (
     ShiftedSolver,
-    as_matrix,
+    as_operator,
     as_vector,
     circle_directions,
-    eigenvalues,
     norms_from_sigma,
     sigma_min_batch,
     spectral_distance,
@@ -117,15 +116,15 @@ def sample_segment(
 ) -> SegmentReport:
     """Sample m+1 equispaced points on the growth segment of length a0.
 
-    The direction angle defaults to the analyzed theta0; a local
-    minimum point has none, so there a direction must be supplied.
+    a is a matrix or an Operator.  The direction angle defaults to the
+    analyzed theta0; a local minimum point has none, so supply one.
 
     Raises:
         ValueError: m < 8, a0 <= 0, or a missing direction.
         DomainError: a0 >= spectral distance (the segment would leave
             the resolvent set).
     """
-    a = as_matrix(a)
+    a = as_operator(a)
     if m < 8:
         raise ValueError(f"m must be at least 8, got {m}")
     if not a0 > 0.0:
@@ -280,27 +279,27 @@ def local_min_probe(
     and the angular-minimum radial profile fits a power law with
     exponent in PROFILE_EXPONENT_RANGE and positive constant, i.e. the
     point behaves like a genuine second-order minimum in the flattest
-    direction.
+    direction.  a is a matrix or an Operator.
 
     Raises:
         ValueError: angular < 8 or radial < 4 or r0 <= 0.
         DomainError: the probe disk reaches the spectrum.
     """
-    a = as_matrix(a)
+    op = as_operator(a)
     if angular < 8:
         raise ValueError(f"angular must be at least 8, got {angular}")
     if radial < 4:
         raise ValueError(f"radial must be at least 4, got {radial}")
     if not r0 > 0.0:
         raise ValueError(f"r0 must be positive, got {r0}")
-    dist = spectral_distance(eigenvalues(a, cfg), z)
+    dist = spectral_distance(op.eigenvalues, z)
     if r0 >= dist:
         raise DomainError(f"probe radius r0={r0} reaches the spectrum (distance {dist})")
 
-    base = ShiftedSolver(a, z, cfg).norm
+    base = ShiftedSolver(op, z, cfg).norm
     radii = r0 * (np.arange(radial) + 1) / radial
     zetas = complex(z) + radii[:, None] * circle_directions(angular)[None, :]
-    sigmas = sigma_min_batch(a, zetas.ravel()).reshape(radial, angular)
+    sigmas = sigma_min_batch(op, zetas.ravel()).reshape(radial, angular)
     excess = norms_from_sigma(sigmas) - base
     profile = excess.min(axis=1)
     min_excess = float(profile.min())
@@ -361,13 +360,13 @@ def taylor_remainder_check(
     The model is ||R psi||^2 + 2 Re[w alpha] + |w|^2 beta + 2 Re[w^2 gamma]
     with w = h e^{-i theta0}; a correct implementation leaves a cubic
     remainder, so the fitted order sits near 3 and the residual ratio
-    per halving near 8.
+    per halving near 8.  a is a matrix or an Operator.
 
     Raises:
         ValueError: empty or non-decreasing or non-positive steps.
         DomainError: largest step at or beyond half the spectral distance.
     """
-    a = as_matrix(a)
+    op = as_operator(a)
     steps = tuple(float(h) for h in steps)
     if not steps:
         raise ValueError("steps must be a non-empty decreasing sequence")
@@ -375,13 +374,13 @@ def taylor_remainder_check(
         raise ValueError("steps must be positive")
     if any(h2 >= h1 for h1, h2 in zip(steps, steps[1:])):
         raise ValueError("steps must be strictly decreasing")
-    dist = spectral_distance(eigenvalues(a, cfg), z)
+    dist = spectral_distance(op.eigenvalues, z)
     if steps[0] >= 0.5 * dist:
         raise DomainError(
             f"largest step {steps[0]} is not small against the spectral distance {dist}"
         )
 
-    solver = ShiftedSolver(a, z, cfg)
+    solver = ShiftedSolver(op, z, cfg)
     psi = as_vector(psi, solver.matrix.shape[0])
     alpha, beta, gamma, base_sq = _growth_quantities(solver, psi)
 
@@ -389,7 +388,7 @@ def taylor_remainder_check(
     residuals = []
     for h in steps:
         w = h * direction
-        u = ShiftedSolver(a, z + w, cfg).solve(psi)
+        u = ShiftedSolver(op, z + w, cfg).solve(psi)
         direct = float(np.vdot(u, u).real)
         model = (
             base_sq

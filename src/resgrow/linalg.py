@@ -15,6 +15,7 @@ sigma_min evaluations, by triangular solves with the Schur form.
 from __future__ import annotations
 
 import json
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -33,9 +34,12 @@ _TIE_REL = 1e-12
 def as_matrix(obj) -> np.ndarray:
     """Validate and return a square complex matrix.
 
-    Accepts anything ``np.asarray`` does.  Rejects empty matrices,
-    non-square shapes and non-finite entries.
+    Accepts anything ``np.asarray`` does, and an Operator, whose
+    read-only ``matrix`` is returned as it is.  Rejects empty
+    matrices, non-square shapes and non-finite entries.
     """
+    if isinstance(obj, Operator):
+        return obj.matrix
     a = np.asarray(obj, dtype=complex)
     if a.ndim != 2:
         raise ValueError(f"matrix must be 2-dimensional, got shape {a.shape}")
@@ -151,6 +155,47 @@ def spectral_distance(eigs: np.ndarray, z: complex) -> float:
     return float(np.min(np.abs(np.asarray(eigs) - complex(z))))
 
 
+def _read_only(x: np.ndarray) -> np.ndarray:
+    x.flags.writeable = False
+    return x
+
+
+class Operator:
+    """A validated, read-only copy of a square matrix A whose spectrum,
+    ||A||_2 and complex Schur form are computed on first use and kept.
+    Every function that takes a matrix takes an Operator too (see
+    ``as_matrix``), so calls sharing one compute each of these once."""
+
+    def __init__(self, m):
+        self.matrix = _read_only(np.array(as_matrix(m)))
+
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        """All eigenvalues, sorted by (real, imag); see ``eigenvalues``."""
+        return _read_only(eigenvalues(self.matrix))
+
+    @cached_property
+    def norm(self) -> float:
+        """The spectral norm ||A||_2."""
+        return float(np.linalg.norm(self.matrix, 2))
+
+    @cached_property
+    def schur(self) -> np.ndarray | None:
+        """T of the complex Schur form A = Z T Z*, or None if LAPACK fails."""
+        # imported here: at module level it would slow `import resgrow` by 0.36 s
+        from scipy.linalg.lapack import zgees
+
+        # T only: skipping the unused Schur vectors halves scipy.linalg.schur's time
+        lwork = int(zgees(lambda _: False, self.matrix, compute_v=0, lwork=-1)[-2][0].real)
+        t, *_, info = zgees(lambda _: False, self.matrix, compute_v=0, lwork=lwork)
+        return _read_only(t) if info == 0 else None
+
+
+def as_operator(obj) -> Operator:
+    """obj itself if it is an Operator, else a new Operator of the matrix obj."""
+    return obj if isinstance(obj, Operator) else Operator(obj)
+
+
 class ShiftedSolver:
     """A factored shift A - zI for repeated solves.
 
@@ -221,28 +266,30 @@ def shifted_solve(a, z: complex, b, cfg: RunConfig = DEFAULT_CONFIG) -> np.ndarr
 def sigma_min_batch(a, zs, chunk_bytes: int = 1 << 26) -> np.ndarray:
     """Smallest singular value of A - zI for every z in a 1-D array.
 
-    Fewer than ``_SCHUR_MIN_POINTS`` points, or n < ``_SCHUR_MIN_N``:
-    one batched SVD of the shifted matrices per chunk, the accuracy
-    reference.  Otherwise A = Z T Z* is factored once (complex Schur
-    form).  If N = triu(T, 1) has ||N||_F <= n·u·||A||_F, sigma_min(T - zI)
-    is taken as min_i |t_ii - z| + ||N||_F (Weyl), else inverse Lanczos on
-    ((T - zI)*(T - zI))^-1 runs for all points in lockstep until the top
-    Ritz value settles to 1e-14 relative.  Either agrees with the SVD to
-    1e-12·sigma + n·u·||A||_F and bounds sigma_min(T - zI) from above.
-    Points that overflow or do not settle in ``_LANCZOS_MAX_ITER`` steps,
-    or all if the factorization fails, are redone by the SVD.  Only this
-    route imports scipy.
+    A is a matrix or an Operator.  Fewer than ``_SCHUR_MIN_POINTS``
+    points, or n < ``_SCHUR_MIN_N``: one batched SVD of the shifted
+    matrices per chunk, the accuracy reference.  Otherwise the route
+    reads the complex Schur form A = Z T Z*, factored once per Operator
+    (once per call for a plain matrix).  If N = triu(T, 1) has ||N||_F
+    <= n·u·||A||_F, sigma_min(T - zI) is taken as min_i |t_ii - z| +
+    ||N||_F (Weyl), else inverse Lanczos on ((T - zI)*(T - zI))^-1 runs
+    for all points in lockstep until the top Ritz value settles to 1e-14
+    relative.  Either agrees with the SVD to 1e-12·sigma + n·u·||A||_F
+    and bounds sigma_min(T - zI) from above.  Points that overflow or do
+    not settle in ``_LANCZOS_MAX_ITER`` steps, or all if the
+    factorization fails, are redone by the SVD.  Only this route imports
+    scipy.
 
     Never raises on singularity: exact hits store 0 (in Lanczos, z = some
     t_ii).  Chunks keep temporaries below about ``chunk_bytes``.
     """
-    a = as_matrix(a)
+    m = as_matrix(a)
     zs = np.asarray(zs, dtype=complex).ravel()
-    n = a.shape[0]
+    n = m.shape[0]
     chunk = max(1, chunk_bytes // (16 * n * n))
     if n >= _SCHUR_MIN_N and zs.shape[0] >= _SCHUR_MIN_POINTS:
-        return _sigma_min_schur(a, zs, chunk)
-    return _sigma_min_svd(a, zs, chunk)
+        return _sigma_min_schur(as_operator(a), zs, chunk)
+    return _sigma_min_svd(m, zs, chunk)
 
 
 # Below either size the batched SVD is faster (tools/sigma_min_crossover.py);
@@ -255,15 +302,10 @@ _LANCZOS_MAX_ITER = 24
 _LEAF_ROWS = 16
 
 
-def _sigma_min_schur(a: np.ndarray, zs: np.ndarray, chunk: int) -> np.ndarray:
-    # imported here: at module level it would slow `import resgrow` by 0.36 s
-    from scipy.linalg.lapack import zgees
-
-    # T only: skipping the unused Schur vectors halves scipy.linalg.schur's time
-    lwork = int(zgees(lambda _: False, a, compute_v=0, lwork=-1)[-2][0].real)
-    t, *_, info = zgees(lambda _: False, a, compute_v=0, lwork=lwork)
-    if info != 0:
-        return _sigma_min_svd(a, zs, chunk)
+def _sigma_min_schur(op: Operator, zs: np.ndarray, chunk: int) -> np.ndarray:
+    t = op.schur
+    if t is None:
+        return _sigma_min_svd(op.matrix, zs, chunk)
     off = np.linalg.norm(np.triu(t, 1))
     out = np.empty(zs.shape[0], dtype=float)
     for start in range(0, zs.shape[0], chunk):
@@ -273,7 +315,7 @@ def _sigma_min_schur(a: np.ndarray, zs: np.ndarray, chunk: int) -> np.ndarray:
         else:
             out[start : start + chunk] = _inverse_lanczos(t, zz)
     redo = np.isnan(out)
-    out[redo] = _sigma_min_svd(a, zs[redo], chunk)
+    out[redo] = _sigma_min_svd(op.matrix, zs[redo], chunk)
     return out
 
 

@@ -16,13 +16,7 @@ import numpy as np
 from .analysis import GrowthCase, analyze_point
 from .config import DEFAULT_CONFIG, RunConfig
 from .errors import DomainError, NearSingularError, SearchError
-from .linalg import (
-    as_matrix,
-    circle_directions,
-    eigenvalues,
-    norms_from_sigma,
-    sigma_min_batch,
-)
+from .linalg import as_operator, circle_directions, norms_from_sigma, sigma_min_batch
 from .serialize import complex_pair, csv_text
 
 # fraction of the spectral distance at which the escape fan is probed
@@ -94,8 +88,8 @@ def grid_sigma_min(
     ny: int,
     cfg: RunConfig = DEFAULT_CONFIG,
 ) -> PseudoGrid:
-    """Evaluate sigma_min(A - zI) on an nx x ny cell-center grid."""
-    a = as_matrix(a)
+    """Evaluate sigma_min(A - zI) on an nx x ny cell-center grid; a may be an Operator."""
+    a = as_operator(a)
     if nx < 2 or ny < 2:
         raise ValueError(f"grid must be at least 2x2, got {nx}x{ny}")
     if not (re_min < re_max and im_min < im_max):
@@ -245,23 +239,23 @@ def certify_path(a, path: PolyPath, cfg: RunConfig = DEFAULT_CONFIG) -> PathCert
     with a "min_f_margin" failure at a sampled point below the floor or
     at an unproved interval no longer than the slack, and with a
     "min_f_unproved" failure when the next level would bring the total
-    past _CERT_SAMPLES_PER_SEGMENT evaluations per segment.
+    past _CERT_SAMPLES_PER_SEGMENT evaluations per segment.  a is a
+    matrix or an Operator, whose ``norm`` gives ||A||_2.
     """
-    a = as_matrix(a)
+    op = as_operator(a)
     if not path.vertices:
         raise ValueError("path must have at least one vertex")
     verts = np.asarray(path.vertices, dtype=complex)
     inv_eps = 1.0 / path.epsilon
 
-    sigma = sigma_min_batch(a, verts)
+    sigma = sigma_min_batch(op, verts)
     norms = norms_from_sigma(sigma)
     vertex_norms = tuple(float(v) for v in norms[:-1])
     endpoint_distance = float(abs(verts[-2] - verts[-1])) if vertex_norms else 0.0
     f_start = vertex_norms[0] if vertex_norms else float(norms[0])
     required_margin = 0.5 * (f_start - path.delta - inv_eps)
     s_req = 1.0 / (inv_eps + max(required_margin, 0.0))
-    norm_a = float(np.linalg.norm(a, 2))
-    slack = a.shape[0] * np.finfo(float).eps * (norm_a + float(np.max(np.abs(verts))))
+    slack = op.matrix.shape[0] * np.finfo(float).eps * (op.norm + float(np.max(np.abs(verts))))
 
     samples = verts.shape[0]
     budget = samples + _CERT_SAMPLES_PER_SEGMENT * (samples - 1)
@@ -282,7 +276,7 @@ def certify_path(a, path: PolyPath, cfg: RunConfig = DEFAULT_CONFIG) -> PathCert
             break
         p, q, sp, sq = p[open_], q[open_], sp[open_], sq[open_]
         mid = 0.5 * (p + q)
-        sm = sigma_min_batch(a, mid)
+        sm = sigma_min_batch(op, mid)
         samples += mid.shape[0]
         max_sigma = max(max_sigma, sm.max())
         p, q = np.concatenate((p, mid)), np.concatenate((mid, q))
@@ -298,7 +292,7 @@ def certify_path(a, path: PolyPath, cfg: RunConfig = DEFAULT_CONFIG) -> PathCert
         failures.append("vertex_norms_not_increasing")
     if not endpoint_distance < 0.5 * path.epsilon:
         failures.append("endpoint_too_far")
-    if sigma[-1] > cfg.tol_eig * max(1.0, norm_a):
+    if sigma[-1] > cfg.tol_eig * max(1.0, op.norm):
         failures.append("endpoint_not_eigenvalue")
 
     return PathCertificate(
@@ -358,7 +352,8 @@ def find_path(
     f(z) - delta.  When that direction admits no step, or the vertex is
     a local minimum and has none, a fan of escape directions is tried,
     best first.  Once the spectrum is closer than epsilon/2 the nearest
-    eigenvalue is appended and the finished path is certified.
+    eigenvalue is appended and the finished path is certified.  a is a
+    matrix or an Operator; one Operator serves search and certificate.
 
     Raises:
         DomainError: f(z) <= 1/epsilon (query outside the set).
@@ -369,13 +364,13 @@ def find_path(
             "singular-vertex"), or cfg.max_steps vertices were placed
             (reason "iteration-limit"); the partial path rides along.
     """
-    a = as_matrix(a)
+    op = as_operator(a)
     if not epsilon > 0.0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
-    eigs = eigenvalues(a, cfg)
+    eigs = op.eigenvalues
     inv_eps = 1.0 / epsilon
     z = complex(z)
-    fz = float(_norms_at(a, [z])[0])
+    fz = float(_norms_at(op, [z])[0])
     if not fz > inv_eps:
         raise DomainError(
             f"query z={z} lies outside the epsilon-pseudospectrum "
@@ -402,10 +397,10 @@ def find_path(
                 epsilon=float(epsilon),
                 delta=delta,
             )
-            return path, certify_path(a, path, cfg)
+            return path, certify_path(op, path, cfg)
 
         try:
-            point = analyze_point(a, x, cfg)
+            point = analyze_point(op, x, cfg)
         except NearSingularError as exc:
             raise SearchError(
                 f"vertex {x} is numerically singular (sigma_min={exc.sigma_min:.3e}) "
@@ -413,8 +408,8 @@ def find_path(
                 tuple(vertices),
                 reason="singular-vertex",
             ) from exc
-        for direction in _directions(a, x, point.theta0, dist):
-            found = _line_search(a, x, direction, fx, dist, floor, cfg)
+        for direction in _directions(op, x, point.theta0, dist):
+            found = _line_search(op, x, direction, fx, dist, floor, cfg)
             if found is not None:
                 break
         else:

@@ -55,8 +55,7 @@ def circulant_weighted_shift_inverse(weights) -> np.ndarray:
         raise ValueError("all weights must be nonzero")
     n = w.shape[0]
     m = np.zeros((n, n), dtype=complex)
-    for j in range(n):
-        m[j, (j - 1) % n] = w[j]
+    m[np.arange(n), np.arange(n) - 1] = w
     return m
 
 

@@ -33,12 +33,13 @@ def test_zigzag_two_by_two_values():
 
 
 def test_circulant_inverse_structure():
-    m = rg.circulant_weighted_shift_inverse([2, 1, 1, 1])
-    n = 4
-    for j in range(n):
-        for k in range(n):
-            expected = [2, 1, 1, 1][j] if k == (j - 1) % n else 0
-            assert m[j, k] == expected
+    for w in ([2, 1, 1, 1], [2, 1 + 1j, 3, 0.5 - 2j, 1]):
+        m = rg.circulant_weighted_shift_inverse(w)
+        n = len(w)
+        for j in range(n):
+            for k in range(n):
+                expected = w[j] if k == (j - 1) % n else 0
+                assert m[j, k] == expected
     with pytest.raises(ValueError):
         rg.circulant_weighted_shift_inverse([2])
     with pytest.raises(ValueError):
