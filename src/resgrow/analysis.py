@@ -22,7 +22,7 @@ import numpy as np
 
 from .config import DEFAULT_CONFIG, RunConfig
 from .linalg import ShiftedSolver, as_operator, as_vector, canonical_phase, spectral_distance
-from .serialize import complex_pair
+from .serialize import payload
 
 
 class GrowthCase(enum.Enum):
@@ -62,19 +62,7 @@ class ResolventPoint:
     degenerate: bool
 
     def to_dict(self) -> dict:
-        return {
-            "z": complex_pair(self.z),
-            "norm": self.norm,
-            "sigma_min": self.sigma_min,
-            "psi": [complex_pair(c) for c in self.psi],
-            "alpha": complex_pair(self.alpha),
-            "beta": self.beta,
-            "gamma": complex_pair(self.gamma),
-            "case": self.case.value,
-            "theta0": self.theta0,
-            "spectral_distance": self.spectral_distance,
-            "degenerate": self.degenerate,
-        }
+        return payload(self)
 
 
 def resolvent_norm(a, z: complex, cfg: RunConfig = DEFAULT_CONFIG) -> float:

@@ -31,7 +31,7 @@ from .growth import (
 )
 from .linalg import Operator, load_matrix, save_matrix
 from .pseudo import find_path, grid_metadata, grid_sigma_min
-from .serialize import complex_pair, dumps
+from .serialize import dumps, payload
 from .zoo import (
     RANDOM_DENSE_RNG_ID,
     circulant_weighted_shift_inverse,
@@ -220,16 +220,16 @@ def _cmd_growth(args, cfg: RunConfig) -> int:
         report = sample_segment(a, point, args.a0, args.samples, args.theta, cfg)
     else:
         report = sample_segment_auto(a, point, args.samples, args.theta, cfg)
-    payload = report.to_dict()
+    data = report.to_dict()
     code = 0
     if args.expect is not None:
         check = verify_growth_bound(report, GrowthCase(args.expect), cfg)
-        payload["bound_check"] = check.to_dict()
+        data["bound_check"] = check.to_dict()
         if not check.passed:
             code = 4
     if args.csv:
         _emit(report.to_csv(), args.csv)
-    _emit(dumps(payload), args.output)
+    _emit(dumps(data), args.output)
     return code
 
 
@@ -260,7 +260,7 @@ def _cmd_examples(args, cfg: RunConfig) -> int:
         m = zigzag_diagonal(args.n)
     elif args.name == "shift":
         m = operator_from_inverse(circulant_weighted_shift_inverse(args.weights), cfg)
-        meta["weights"] = [complex_pair(w) for w in args.weights]
+        meta["weights"] = payload(args.weights)
     elif args.name == "jordan":
         m = jordan_block(args.n, args.lam)
     elif args.name == "random":
@@ -279,9 +279,7 @@ def _cmd_localmin(args, cfg: RunConfig) -> int:
     probe = local_min_probe(
         load_matrix(args.matrix), args.z, args.r0, args.radial, args.angular, cfg
     )
-    payload = {"z": complex_pair(args.z), "r0": args.r0}
-    payload.update(probe.to_dict())
-    _emit(dumps(payload), args.output)
+    _emit(dumps(payload({"z": args.z, "r0": args.r0, **probe.to_dict()})), args.output)
     return 0
 
 
@@ -295,9 +293,7 @@ def _cmd_taylor(args, cfg: RunConfig) -> int:
         )
     steps = args.steps if args.steps is not None else default_taylor_steps()
     check = taylor_remainder_check(a, args.z, point.psi, theta, steps, cfg)
-    payload = {"z": complex_pair(args.z), "theta": float(theta)}
-    payload.update(check.to_dict())
-    _emit(dumps(payload), args.output)
+    _emit(dumps(payload({"z": args.z, "theta": float(theta), **check.to_dict()})), args.output)
     return 0
 
 
@@ -318,18 +314,14 @@ def main(argv=None) -> int:
         )
         return 3
     except SearchError as exc:
-        _emit(
-            dumps(
-                {
-                    "error": "search_failure",
-                    "message": str(exc),
-                    "reason": exc.reason,
-                    "suspected_local_min": exc.suspected_local_min,
-                    "vertices": [complex_pair(v) for v in exc.vertices],
-                }
-            ),
-            args.output,
-        )
+        report = {
+            "error": "search_failure",
+            "message": str(exc),
+            "reason": exc.reason,
+            "suspected_local_min": exc.suspected_local_min,
+            "vertices": exc.vertices,
+        }
+        _emit(dumps(payload(report)), args.output)
         return 5
     except (ValueError, OSError, ResgrowError) as exc:
         print(f"resgrow: error: {exc}", file=sys.stderr)

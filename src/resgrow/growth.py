@@ -27,7 +27,7 @@ from .linalg import (
     sigma_min_batch,
     spectral_distance,
 )
-from .serialize import complex_pair, csv_text
+from .serialize import complex_pair, csv_text, payload
 
 # samples whose excess over the base norm is below this (relative to the
 # base norm) are treated as numerical noise and excluded from fits
@@ -84,21 +84,12 @@ class SegmentReport:
     all_in_resolvent_set: bool
 
     def to_dict(self) -> dict:
-        data = {
-            "z": complex_pair(self.z),
-            "z_prime": complex_pair(self.z_prime),
-            "a0": self.a0,
-            "samples": [
-                {"t": t, "zeta": complex_pair(zeta), "norm": norm}
-                for t, zeta, norm in self.samples
-            ],
-            "base_norm": self.base_norm,
-            "min_excess": self.min_excess,
-            "all_in_resolvent_set": self.all_in_resolvent_set,
-        }
+        # each sample a {t, zeta, norm} dict; the fit keys last, only when fitted
+        data = payload(self)
+        fit = {key: data.pop(key) for key in ("fitted_delta", "fitted_C")}
+        data["samples"] = [dict(zip(("t", "zeta", "norm"), s)) for s in data["samples"]]
         if self.fitted_delta is not None:
-            data["fitted_delta"] = self.fitted_delta
-            data["fitted_C"] = self.fitted_C
+            data.update(fit)
         return data
 
     def to_csv(self) -> str:
@@ -200,12 +191,7 @@ class BoundCheck:
     witness: dict | None
 
     def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "delta": self.delta,
-            "constant": self.constant,
-            "witness": self.witness,
-        }
+        return payload(self)
 
 
 def verify_growth_bound(
@@ -254,15 +240,7 @@ class LocalMinProbe:
     min_excess: float
 
     def to_dict(self) -> dict:
-        return {
-            "is_local_min": self.is_local_min,
-            "base_norm": self.base_norm,
-            "radii": list(self.radii),
-            "profile": list(self.profile),
-            "fitted_exponent": self.fitted_exponent,
-            "fitted_constant": self.fitted_constant,
-            "min_excess": self.min_excess,
-        }
+        return payload(self)
 
 
 def local_min_probe(
@@ -334,11 +312,7 @@ class TaylorCheck:
     fitted_order: float
 
     def to_dict(self) -> dict:
-        return {
-            "steps": list(self.steps),
-            "residuals": list(self.residuals),
-            "fitted_order": self.fitted_order,
-        }
+        return payload(self)
 
 
 def default_taylor_steps(start: float = 1e-2, levels: int = 7) -> tuple[float, ...]:

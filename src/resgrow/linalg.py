@@ -22,6 +22,7 @@ import numpy as np
 
 from .config import DEFAULT_CONFIG, RunConfig
 from .errors import DecompositionError, NearSingularError
+from .serialize import dumps, payload
 
 # Relative tolerance for treating trailing singular values as tied with
 # the smallest one.  Deliberately far below the accuracy contract of
@@ -35,12 +36,15 @@ def as_matrix(obj) -> np.ndarray:
     """Validate and return a square complex matrix.
 
     Accepts anything ``np.asarray`` does, and an Operator, whose
-    read-only ``matrix`` is returned as it is.  Rejects empty
-    matrices, non-square shapes and non-finite entries.
+    read-only ``matrix`` is returned as it is.  Raises ValueError on
+    empty or non-square shapes and on entries that are not finite numbers.
     """
     if isinstance(obj, Operator):
         return obj.matrix
-    a = np.asarray(obj, dtype=complex)
+    try:
+        a = np.asarray(obj, dtype=complex)
+    except TypeError as exc:  # entries that are not numbers
+        raise ValueError(f"matrix entries must be numbers: {exc}") from None
     if a.ndim != 2:
         raise ValueError(f"matrix must be 2-dimensional, got shape {a.shape}")
     if a.shape[0] != a.shape[1]:
@@ -53,8 +57,11 @@ def as_matrix(obj) -> np.ndarray:
 
 
 def as_vector(obj, n: int | None = None) -> np.ndarray:
-    """Validate a 1-D complex vector, optionally of prescribed length."""
-    v = np.asarray(obj, dtype=complex)
+    """Validate a finite 1-D complex vector of length n, if given; raises ValueError."""
+    try:
+        v = np.asarray(obj, dtype=complex)
+    except TypeError as exc:
+        raise ValueError(f"vector entries must be numbers: {exc}") from None
     if v.ndim != 1:
         raise ValueError(f"vector must be 1-dimensional, got shape {v.shape}")
     if n is not None and v.shape[0] != n:
@@ -419,9 +426,7 @@ def circle_directions(count: int) -> np.ndarray:
 
 def matrix_to_dict(m) -> dict:
     a = as_matrix(m)
-    n = a.shape[0]
-    flat = a.reshape(n * n)
-    return {"n": n, "entries": [[float(e.real), float(e.imag)] for e in flat]}
+    return {"n": a.shape[0], "entries": payload(a.ravel())}
 
 
 def matrix_from_dict(data) -> np.ndarray:
@@ -448,8 +453,6 @@ def matrix_from_dict(data) -> np.ndarray:
 
 
 def save_matrix(path: str, m) -> None:
-    from .serialize import dumps
-
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(dumps(matrix_to_dict(m)))
 

@@ -17,7 +17,7 @@ from .analysis import GrowthCase, analyze_point
 from .config import DEFAULT_CONFIG, RunConfig
 from .errors import DomainError, NearSingularError, SearchError
 from .linalg import as_operator, circle_directions, norms_from_sigma, sigma_min_batch
-from .serialize import complex_pair, csv_text
+from .serialize import csv_text, payload
 
 # fraction of the spectral distance at which the escape fan is probed
 _FAN_PROBE_FRAC = 0.25
@@ -181,12 +181,7 @@ class PolyPath:
     delta: float
 
     def to_dict(self, certificate: "PathCertificate | None" = None) -> dict:
-        data = {
-            "vertices": [complex_pair(v) for v in self.vertices],
-            "eigenvalue": complex_pair(self.eigenvalue),
-            "epsilon": self.epsilon,
-            "delta": self.delta,
-        }
+        data = payload(self)
         if certificate is not None:
             data["certificate"] = certificate.to_dict()
         return data
@@ -210,14 +205,7 @@ class PathCertificate:
     failures: tuple[str, ...]
 
     def to_dict(self) -> dict:
-        return {
-            "samples": self.samples,
-            "min_f_on_path": self.min_f_on_path,
-            "vertex_norms": list(self.vertex_norms),
-            "endpoint_distance": self.endpoint_distance,
-            "valid": self.valid,
-            "failures": list(self.failures),
-        }
+        return payload(self)
 
 
 def certify_path(a, path: PolyPath, cfg: RunConfig = DEFAULT_CONFIG) -> PathCertificate:
@@ -246,6 +234,8 @@ def certify_path(a, path: PolyPath, cfg: RunConfig = DEFAULT_CONFIG) -> PathCert
     if not path.vertices:
         raise ValueError("path must have at least one vertex")
     verts = np.asarray(path.vertices, dtype=complex)
+    if not path.epsilon > 0.0:
+        raise ValueError(f"epsilon must be positive, got {path.epsilon}")
     inv_eps = 1.0 / path.epsilon
 
     sigma = sigma_min_batch(op, verts)

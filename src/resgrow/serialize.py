@@ -4,10 +4,15 @@ Identical inputs must produce byte-identical output files, so floats
 are always rendered with 17 significant digits (enough to round-trip a
 double) instead of Python's shortest-repr rule, and no timestamps or
 other run-dependent data ever enter a payload.
+
+One rule, ``payload``, turns every result into plain data: a result's
+payload is its fields in declaration order, each complex as [re, im].
 """
 
 from __future__ import annotations
 
+import dataclasses
+import enum
 import json
 import math
 from typing import Any, Sequence
@@ -29,6 +34,25 @@ def complex_pair(z: complex) -> list[float]:
     """A complex scalar as the [re, im] pair used in every JSON payload."""
     z = complex(z)
     return [z.real, z.imag]
+
+
+def payload(obj: Any) -> Any:
+    """Plain data for ``dumps``: a dataclass becomes a dict of its fields, a
+    dict keeps its keys, a list, tuple or ndarray becomes a list, an Enum its
+    value and a complex its ``complex_pair``; anything else is kept as is."""
+    if isinstance(obj, complex):  # tested first: a matrix payload holds n^2 of them
+        return complex_pair(obj)
+    if isinstance(obj, np.ndarray):
+        return payload(obj.tolist())
+    if isinstance(obj, (list, tuple)):
+        return [payload(item) for item in obj]
+    if isinstance(obj, dict):
+        return {key: payload(value) for key, value in obj.items()}
+    if dataclasses.is_dataclass(obj):
+        return {f.name: payload(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    if isinstance(obj, enum.Enum):
+        return obj.value
+    return obj
 
 
 def _render(obj: Any, indent: int, level: int) -> str:
@@ -71,7 +95,7 @@ def dumps(obj: Any, indent: int = 2) -> str:
     """Serialize to JSON text with a trailing newline.
 
     Scalar-only lists render inline; nested structures get one element
-    per line.  Key order is preserved (payload builders fix it).
+    per line.  Key order is preserved; a raw complex raises TypeError (see ``payload``).
     """
     return _render(obj, indent, 0) + "\n"
 

@@ -119,6 +119,43 @@ def test_bound_check_without_fit(diag03, diag_point):
     assert check.witness is None
 
 
+def test_growth_results_to_dict_key_order(diag03, diag_point, shift4):
+    """A payload lists the fields in declaration order; SegmentReport puts
+    its two fit keys last and drops them when no fit exists."""
+    report = rg.sample_segment(diag03, diag_point, 0.25, 8)
+    fields = ["z", "z_prime", "a0", "samples", "base_norm", "min_excess", "all_in_resolvent_set"]
+    data = report.to_dict()
+    assert list(data) == fields + ["fitted_delta", "fitted_C"]
+    assert list(data["samples"][1]) == ["t", "zeta", "norm"]
+    assert data["samples"][1]["zeta"] == [report.samples[1][1].real, report.samples[1][1].imag]
+    nofit = rg.sample_segment(diag03, diag_point, 0.25, 8, direction=0.0)
+    assert list(nofit.to_dict()) == fields
+
+    check = rg.verify_growth_bound(report, rg.GrowthCase.LINEAR)
+    assert list(check.to_dict()) == ["passed", "delta", "constant", "witness"]
+    point = rg.analyze_point(shift4, 0j)
+    flat = rg.sample_segment(shift4, point, 0.05, 8, direction=0.0)
+    witness = rg.verify_growth_bound(flat, rg.GrowthCase.LINEAR).to_dict()["witness"]
+    assert list(witness) == ["t", "zeta", "norm", "required"]
+
+    probe = rg.local_min_probe(shift4, 0j, 0.05).to_dict()
+    assert list(probe) == [
+        "is_local_min",
+        "base_norm",
+        "radii",
+        "profile",
+        "fitted_exponent",
+        "fitted_constant",
+        "min_excess",
+    ]
+    assert isinstance(probe["radii"], list)
+    taylor = rg.taylor_remainder_check(
+        diag03, 1.0 + 0j, diag_point.psi, diag_point.theta0, rg.default_taylor_steps()
+    ).to_dict()
+    assert list(taylor) == ["steps", "residuals", "fitted_order"]
+    assert isinstance(taylor["steps"], list)
+
+
 def test_segment_report_serialization(diag03, diag_point):
     report = rg.sample_segment(diag03, diag_point, 0.25, 8)
     data = report.to_dict()

@@ -40,6 +40,8 @@ def test_as_vector_validation():
         as_vector([1.0, 2.0], n=3)
     with pytest.raises(ValueError):
         as_vector([np.nan, 0.0])
+    with pytest.raises(ValueError, match="vector entries must be numbers"):
+        as_vector([1.0, object()])
 
 
 def test_svd_reconstructs():

@@ -68,7 +68,8 @@ def test_operator_is_a_read_only_copy():
 
 
 @pytest.mark.parametrize(
-    "bad", [np.zeros(3), np.zeros((2, 3)), np.zeros((0, 0)), [[np.inf]], [["x"]]]
+    "bad",
+    [np.zeros(3), np.zeros((2, 3)), np.zeros((0, 0)), [[np.inf]], [["x"]], {"a": 1}, [[object()]]],
 )
 def test_operator_rejects_what_as_matrix_rejects(bad):
     with pytest.raises(ValueError) as expected:

@@ -568,3 +568,26 @@ def test_path_serialization(diag03):
     assert data["eigenvalue"] == [0.0, 0.0]
     assert data["certificate"]["valid"] is True
     assert "certificate" not in path.to_dict()
+
+
+def test_path_to_dict_key_order(diag03):
+    path, cert = rg.find_path(diag03, 1.25, 1.0 + 0j)
+    fields = ["vertices", "eigenvalue", "epsilon", "delta"]
+    assert list(path.to_dict()) == fields
+    assert list(path.to_dict(cert)) == fields + ["certificate"]
+    assert list(cert.to_dict()) == [
+        "samples",
+        "min_f_on_path",
+        "vertex_norms",
+        "endpoint_distance",
+        "valid",
+        "failures",
+    ]
+    assert cert.to_dict()["failures"] == []
+
+
+@pytest.mark.parametrize("epsilon", [0.0, -1.0, float("nan")])
+def test_certify_rejects_nonpositive_epsilon(diag03, epsilon):
+    path = rg.PolyPath((1.0 + 0j, 0j), 0j, epsilon, 0.0)
+    with pytest.raises(ValueError, match="epsilon must be positive"):
+        rg.certify_path(diag03, path)

@@ -1,10 +1,12 @@
+import dataclasses
+import enum
 import json
 import math
 
 import numpy as np
 import pytest
 
-from resgrow.serialize import complex_pair, csv_text, dumps, format_float
+from resgrow.serialize import complex_pair, csv_text, dumps, format_float, payload
 
 
 def test_format_float_repr_grade():
@@ -66,7 +68,7 @@ def test_dumps_rejects_unknown_types():
     with pytest.raises(TypeError):
         dumps({"x": object()})
     with pytest.raises(TypeError):
-        dumps({"x": 1 + 2j})  # complex must go through complex_pair first
+        dumps({"x": 1 + 2j})  # complex must go through payload first
 
 
 def test_dumps_deterministic():
@@ -93,3 +95,57 @@ def test_csv_text_matches_format_float():
     assert csv_text(["a", "b", "c"], rows) == expected
     assert csv_text(["a", "b", "c"], np.array(rows)) == expected
     assert csv_text(["a"], []) == "a\n"
+
+
+class _Color(enum.Enum):
+    RED = "red"
+
+
+@dataclasses.dataclass(frozen=True)
+class _Inner:
+    w: complex
+    color: _Color
+
+
+@dataclasses.dataclass(frozen=True)
+class _Outer:
+    name: str
+    inner: _Inner
+    values: np.ndarray
+    pairs: tuple
+    missing: float | None
+    extra: dict
+
+
+def test_payload_converts_nested_results():
+    obj = _Outer(
+        name="x",
+        inner=_Inner(w=1.0 - 2.0j, color=_Color.RED),
+        values=np.array([1.0 + 0.5j, -2.0j]),
+        pairs=(1, (2.5, 3j)),
+        missing=None,
+        extra={"b": 4j, "a": [_Color.RED]},
+    )
+    data = payload(obj)
+    assert list(data) == ["name", "inner", "values", "pairs", "missing", "extra"]
+    assert data == {
+        "name": "x",
+        "inner": {"w": [1.0, -2.0], "color": "red"},
+        "values": [[1.0, 0.5], [0.0, -2.0]],
+        "pairs": [1, [2.5, [0.0, 3.0]]],
+        "missing": None,
+        "extra": {"b": [0.0, 4.0], "a": ["red"]},
+    }
+    assert list(data["extra"]) == ["b", "a"]
+    assert json.loads(dumps(data)) == data
+
+
+def test_payload_scalars():
+    assert payload(1.5 - 2j) == [1.5, -2.0]
+    assert payload(np.complex128(0.25j)) == [0.0, 0.25]
+    assert payload(None) is None
+    assert payload(_Color.RED) == "red"
+    assert payload((1, "a", True)) == [1, "a", True]
+    assert payload({}) == {}
+    assert payload(np.arange(4.0).reshape(2, 2)) == [[0.0, 1.0], [2.0, 3.0]]
+    assert payload(np.array(2j)) == [0.0, 2.0]

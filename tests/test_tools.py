@@ -11,15 +11,34 @@ import resgrow as rg
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
 
+def _load_tool(name: str):
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+    tool = importlib.util.module_from_spec(spec)
+    # a tool pins the BLAS threads and extends sys.path when imported
+    with mock.patch.dict(os.environ), mock.patch.object(sys, "path", list(sys.path)):
+        spec.loader.exec_module(tool)
+    return tool
+
+
 def test_sigma_min_crossover_cell_runs():
     """The crossover tool reaches into linalg's private routes, so a
     signature change there must break a test, not only the tool."""
-    spec = importlib.util.spec_from_file_location("crossover", TOOLS / "sigma_min_crossover.py")
-    tool = importlib.util.module_from_spec(spec)
-    # the tool pins the BLAS threads and extends sys.path when imported
-    with mock.patch.dict(os.environ), mock.patch.object(sys, "path", list(sys.path)):
-        spec.loader.exec_module(tool)
+    tool = _load_tool("sigma_min_crossover")
     rng = np.random.default_rng(0)
     zs = 0.5 * np.sqrt(48) * (rng.standard_normal(64) + 1j * rng.standard_normal(64))
     svd_us, schur_us = tool.cell(rg.random_dense(48, 48), zs, repeats=1).split("/")
     assert float(svd_us) > 0.0 and float(schur_us) > 0.0
+
+
+def test_payload_hashes_cli_group_is_deterministic(tmp_path, monkeypatch):
+    """Two passes of the hash tool's CLI runs print identical lines; the
+    runs exit as intended and leave the working directory as it was."""
+    monkeypatch.chdir(tmp_path)
+    tool = _load_tool("payload_hashes")
+    first = tool.cli_lines()
+    assert first == tool.cli_lines()
+    codes = [line.rsplit("=", 1)[1] for line in first if "/exit=" in line]
+    assert len(codes) == len(tool.CLI_RUNS) + 1
+    # a near-singular analyze (3) and a search failure (5) are covered
+    assert sorted(set(codes)) == ["0", "3", "5"]
+    assert os.getcwd() == str(tmp_path) and not os.listdir(tmp_path)
