@@ -180,6 +180,10 @@ class PolyPath:
     epsilon: float
     delta: float
 
+    def __post_init__(self):  # a real number given for a point is stored as complex
+        object.__setattr__(self, "vertices", tuple(map(complex, self.vertices)))
+        object.__setattr__(self, "eigenvalue", complex(self.eigenvalue))
+
     def to_dict(self, certificate: "PathCertificate | None" = None) -> dict:
         data = payload(self)
         if certificate is not None:
@@ -381,12 +385,7 @@ def find_path(
             # deterministic (re, im) eigenvalue order
             lam = complex(eigs[nearest])
             vertices.append(lam)
-            path = PolyPath(
-                vertices=tuple(vertices),
-                eigenvalue=lam,
-                epsilon=float(epsilon),
-                delta=delta,
-            )
+            path = PolyPath(tuple(vertices), lam, float(epsilon), delta)
             return path, certify_path(op, path, cfg)
 
         try:

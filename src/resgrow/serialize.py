@@ -39,7 +39,8 @@ def complex_pair(z: complex) -> list[float]:
 def payload(obj: Any) -> Any:
     """Plain data for ``dumps``: a dataclass becomes a dict of its fields, a
     dict keeps its keys, a list, tuple or ndarray becomes a list, an Enum its
-    value and a complex its ``complex_pair``; anything else is kept as is."""
+    value and a complex its ``complex_pair``; anything else is kept as is.
+    The rule reads runtime types, so a complex field must hold a complex."""
     if isinstance(obj, complex):  # tested first: a matrix payload holds n^2 of them
         return complex_pair(obj)
     if isinstance(obj, np.ndarray):

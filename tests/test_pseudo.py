@@ -570,6 +570,16 @@ def test_path_serialization(diag03):
     assert "certificate" not in path.to_dict()
 
 
+def test_path_with_real_points_serializes_as_complex():
+    """Real numbers given for the points of a path are stored as complex,
+    so the payload keeps its [re, im] pairs."""
+    path = rg.PolyPath((1.0, 0), 0.0, 1.0, 0.0)
+    assert path.vertices == (1 + 0j, 0j) and isinstance(path.eigenvalue, complex)
+    data = path.to_dict()
+    assert data["vertices"] == [[1.0, 0.0], [0.0, 0.0]]
+    assert data["eigenvalue"] == [0.0, 0.0]
+
+
 def test_path_to_dict_key_order(diag03):
     path, cert = rg.find_path(diag03, 1.25, 1.0 + 0j)
     fields = ["vertices", "eigenvalue", "epsilon", "delta"]

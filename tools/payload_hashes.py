@@ -1,6 +1,6 @@
 """sha256 of resgrow's deterministic payloads, for byte-identity checks.
 
-    python3 tools/payload_hashes.py [--seeds 5 31 32] [--groups criteria path-suite cli]
+    python3 tools/payload_hashes.py
 
 Prints one ``<sha256>  <name>`` line per payload.  Run it on two trees
 and diff the output: a change that keeps every output byte-identical
@@ -10,8 +10,8 @@ prints the same lines.  The groups are
   1 to 8, from ``CRITERIA`` in ``tests/test_acceptance.py``;
 - ``path-suite/seed=<s>``: the ``find_path`` JSON of every unit of both
   passes of the path-suite workload in ``bench/workloads.py``, in
-  order; a unit that raises a ``ResgrowError`` contributes its type and
-  reason;
+  order, for each seed in ``PATH_SUITE_SEEDS``; a unit that raises a
+  ``ResgrowError`` contributes its type and reason;
 - ``cli/<k>/<command>/exit=<code>`` and ``cli/<k>/<file>``: the exit
   code and stdout of run k of a fixed list of CLI runs through
   ``resgrow.cli.main``, and each file the run writes.  The runs cover
@@ -23,7 +23,6 @@ BLAS runs on one thread.  The whole run takes a few seconds.
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import hashlib
 import importlib.util
@@ -44,6 +43,8 @@ import numpy as np  # noqa: E402
 from resgrow import ResgrowError, jordan_block  # noqa: E402
 from resgrow.cli import main as cli_main  # noqa: E402
 from resgrow.serialize import dumps  # noqa: E402
+
+PATH_SUITE_SEEDS = (5, 31, 32)
 
 # each run is an argument list for `resgrow`; files are named relative
 # to a fresh working directory, so no absolute path enters a payload
@@ -136,18 +137,8 @@ def cli_lines() -> list[str]:
     return lines
 
 
-def main(argv=None) -> None:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--seeds", type=int, nargs="*", default=[5, 31, 32])
-    parser.add_argument("--groups", nargs="*", default=["criteria", "path-suite", "cli"],
-                        choices=["criteria", "path-suite", "cli"])
-    args = parser.parse_args(argv)
-    if "criteria" in args.groups:
-        print("\n".join(criteria_lines()))
-    if "path-suite" in args.groups:
-        print("\n".join(path_suite_lines(args.seeds)))
-    if "cli" in args.groups:
-        print("\n".join(cli_lines()))
+def main() -> None:
+    print("\n".join(criteria_lines() + path_suite_lines(PATH_SUITE_SEEDS) + cli_lines()))
 
 
 if __name__ == "__main__":
