@@ -1,9 +1,9 @@
 """Run configuration: tolerances and search parameters.
 
 A single frozen dataclass carries every tunable used by the library.
-Functions take an optional ``cfg`` argument defaulting to
-``DEFAULT_CONFIG``; the CLI builds one from an optional JSON file plus
-flag overrides.  No environment variables are consulted.
+Each function that reads one takes an optional ``cfg`` argument
+defaulting to ``DEFAULT_CONFIG``; the CLI builds one from an optional
+JSON file plus flag overrides.  No environment variables are consulted.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 # smallest legal value of each integer field; floats must be finite and >= 0
@@ -40,10 +41,17 @@ class RunConfig:
     max_halvings: int = 40
 
     def __post_init__(self):
+        """Check every field: an integer field takes an integer, a float
+        field any real number, stored as a float; bool counts as neither."""
         for name, value in vars(self).items():
+            is_int = name in _INT_MINIMUMS
+            kind, what = (numbers.Integral, "an integer") if is_int else (numbers.Real, "a number")
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ValueError(f"config key {name!r} must be {what}")
             low = _INT_MINIMUMS.get(name, 0.0)
             if not (math.isfinite(value) and value >= low):
                 raise ValueError(f"config key {name!r} must be finite and >= {low}, got {value}")
+            object.__setattr__(self, name, int(value) if is_int else float(value))
 
     def replace(self, **kw) -> "RunConfig":
         return dataclasses.replace(self, **kw)
@@ -51,27 +59,17 @@ class RunConfig:
 
 DEFAULT_CONFIG = RunConfig()
 
-_FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(RunConfig)}
-_INT_FIELDS = {name for name, kind in _FIELD_TYPES.items() if kind == "int"}
+_FIELDS = {f.name for f in dataclasses.fields(RunConfig)}
 
 
 def config_from_dict(data: dict) -> RunConfig:
     """Build a RunConfig from a plain dict, rejecting unknown keys."""
     if not isinstance(data, dict):
         raise ValueError("config must be a JSON object")
-    kw = {}
-    for key, value in data.items():
-        if key not in _FIELD_TYPES:
+    for key in data:
+        if key not in _FIELDS:
             raise ValueError(f"unknown config key: {key!r}")
-        if key in _INT_FIELDS:
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"config key {key!r} must be an integer")
-            kw[key] = value
-        else:
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ValueError(f"config key {key!r} must be a number")
-            kw[key] = float(value)
-    return RunConfig(**kw)
+    return RunConfig(**data)
 
 
 def load_config(path: str) -> RunConfig:

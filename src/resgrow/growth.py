@@ -20,6 +20,7 @@ from .config import DEFAULT_CONFIG, RunConfig
 from .errors import DomainError
 from .linalg import (
     ShiftedSolver,
+    _as_real,
     as_operator,
     as_vector,
     circle_directions,
@@ -27,7 +28,7 @@ from .linalg import (
     sigma_min_batch,
     spectral_distance,
 )
-from .serialize import complex_pair, csv_text, payload
+from .serialize import csv_text, payload
 
 # samples whose excess over the base norm is below this (relative to the
 # base norm) are treated as numerical noise and excluded from fits
@@ -116,9 +117,9 @@ def sample_segment(
             the resolvent set).
     """
     a = as_operator(a)
-    if m < 8:
+    if not _as_real(m) >= 8:
         raise ValueError(f"m must be at least 8, got {m}")
-    if not a0 > 0.0:
+    if not _as_real(a0) > 0.0:
         raise ValueError(f"a0 must be positive, got {a0}")
     if a0 >= point.spectral_distance:
         raise DomainError(
@@ -194,11 +195,7 @@ class BoundCheck:
         return payload(self)
 
 
-def verify_growth_bound(
-    report: SegmentReport,
-    expected_case: GrowthCase,
-    cfg: RunConfig = DEFAULT_CONFIG,
-) -> BoundCheck:
+def verify_growth_bound(report: SegmentReport, expected_case: GrowthCase) -> BoundCheck:
     """Check the growth lower bound on every sample of a segment report.
 
     The exponent is 1 for LINEAR and 2 for QUADRATIC or LOCAL_MIN, and
@@ -213,12 +210,7 @@ def verify_growth_bound(
     for t, zeta, norm in report.samples:
         required = report.base_norm + c * abs(zeta - report.z) ** delta
         if norm < required - slack:
-            witness = {
-                "t": t,
-                "zeta": complex_pair(zeta),
-                "norm": norm,
-                "required": required,
-            }
+            witness = {"t": t, "zeta": zeta, "norm": norm, "required": required}
             return BoundCheck(False, delta, c, witness)
     return BoundCheck(True, delta, c, None)
 
@@ -264,11 +256,11 @@ def local_min_probe(
         DomainError: the probe disk reaches the spectrum.
     """
     op = as_operator(a)
-    if angular < 8:
+    if not _as_real(angular) >= 8:
         raise ValueError(f"angular must be at least 8, got {angular}")
-    if radial < 4:
+    if not _as_real(radial) >= 4:
         raise ValueError(f"radial must be at least 4, got {radial}")
-    if not r0 > 0.0:
+    if not _as_real(r0) > 0.0:
         raise ValueError(f"r0 must be positive, got {r0}")
     dist = spectral_distance(op.eigenvalues, z)
     if r0 >= dist:
@@ -337,14 +329,17 @@ def taylor_remainder_check(
     per halving near 8.  a is a matrix or an Operator.
 
     Raises:
-        ValueError: empty or non-decreasing or non-positive steps.
+        ValueError: empty or non-decreasing or non-positive steps, or a
+            theta0 that is not a finite angle (a local minimum has none).
         DomainError: largest step at or beyond half the spectral distance.
     """
     op = as_operator(a)
-    steps = tuple(float(h) for h in steps)
+    if not np.isfinite(_as_real(theta0)):
+        raise ValueError(f"theta0 must be a finite angle, got {theta0!r}")
+    steps = tuple(_as_real(h) for h in steps)
     if not steps:
         raise ValueError("steps must be a non-empty decreasing sequence")
-    if any(h <= 0.0 for h in steps):
+    if not all(h > 0.0 for h in steps):
         raise ValueError("steps must be positive")
     if any(h2 >= h1 for h1, h2 in zip(steps, steps[1:])):
         raise ValueError("steps must be strictly decreasing")

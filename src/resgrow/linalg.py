@@ -15,6 +15,8 @@ sigma_min evaluations, by triangular solves with the Schur form.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from functools import cached_property
 from typing import NamedTuple
 
@@ -54,6 +56,19 @@ def as_matrix(obj) -> np.ndarray:
     if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
     return a
+
+
+def _as_complex(z) -> complex:
+    """complex(z) for a number z; ValueError, not TypeError, for anything else."""
+    if not isinstance(z, numbers.Complex):
+        raise ValueError(f"z must be a complex number, got {z!r}")
+    return complex(z)
+
+
+def _as_real(x) -> float:
+    """float(x) for a real number x and NaN for anything else (None, a string),
+    so that a range check written ``not x > 0.0`` rejects both with its ValueError."""
+    return float(x) if isinstance(x, numbers.Real) else math.nan
 
 
 def as_vector(obj, n: int | None = None) -> np.ndarray:
@@ -142,7 +157,7 @@ def smallest_singular_pair(m, cfg: RunConfig = DEFAULT_CONFIG) -> tuple[float, n
     return float(dec.values[-1]), _min_left_vector(dec)
 
 
-def eigenvalues(m, cfg: RunConfig = DEFAULT_CONFIG) -> np.ndarray:
+def eigenvalues(m) -> np.ndarray:
     """All eigenvalues, sorted by (real, imag) for determinism.
 
     Accuracy is pinned by tests through the residual certificate
@@ -159,7 +174,7 @@ def eigenvalues(m, cfg: RunConfig = DEFAULT_CONFIG) -> np.ndarray:
 
 def spectral_distance(eigs: np.ndarray, z: complex) -> float:
     """Distance from z to a finite set of eigenvalues."""
-    return float(np.min(np.abs(np.asarray(eigs) - complex(z))))
+    return float(np.min(np.abs(np.asarray(eigs) - _as_complex(z))))
 
 
 def _read_only(x: np.ndarray) -> np.ndarray:
@@ -215,7 +230,7 @@ class ShiftedSolver:
 
     def __init__(self, a, z: complex, cfg: RunConfig = DEFAULT_CONFIG):
         a = as_matrix(a)
-        self.z = complex(z)
+        self.z = _as_complex(z)
         self.cfg = cfg
         self.matrix = a - self.z * np.eye(a.shape[0])
         self.decomposition = svd(self.matrix, cfg)

@@ -16,7 +16,8 @@ import numpy as np
 from .analysis import GrowthCase, analyze_point
 from .config import DEFAULT_CONFIG, RunConfig
 from .errors import DomainError, NearSingularError, SearchError
-from .linalg import as_operator, circle_directions, norms_from_sigma, sigma_min_batch
+from .linalg import _as_complex, _as_real, as_operator, circle_directions
+from .linalg import norms_from_sigma, sigma_min_batch
 from .serialize import csv_text, payload
 
 # fraction of the spectral distance at which the escape fan is probed
@@ -86,12 +87,12 @@ def grid_sigma_min(
     im_max: float,
     nx: int,
     ny: int,
-    cfg: RunConfig = DEFAULT_CONFIG,
 ) -> PseudoGrid:
     """Evaluate sigma_min(A - zI) on an nx x ny cell-center grid; a may be an Operator."""
     a = as_operator(a)
-    if nx < 2 or ny < 2:
+    if not (_as_real(nx) >= 2 and _as_real(ny) >= 2):
         raise ValueError(f"grid must be at least 2x2, got {nx}x{ny}")
+    re_min, re_max, im_min, im_max = map(_as_real, (re_min, re_max, im_min, im_max))
     if not (re_min < re_max and im_min < im_max):
         raise ValueError("grid bounds must satisfy re_min < re_max and im_min < im_max")
     re = _cell_centers(re_min, re_max, nx)
@@ -99,10 +100,10 @@ def grid_sigma_min(
     zs = (re[:, None] + 1j * im[None, :]).ravel()
     values = sigma_min_batch(a, zs).reshape(nx, ny)
     return PseudoGrid(
-        re_min=float(re_min),
-        re_max=float(re_max),
-        im_min=float(im_min),
-        im_max=float(im_max),
+        re_min=re_min,
+        re_max=re_max,
+        im_min=im_min,
+        im_max=im_max,
         nx=int(nx),
         ny=int(ny),
         values=values,
@@ -132,7 +133,7 @@ def _label(mask: np.ndarray, connect8: bool) -> tuple[np.ndarray, int]:
 
 def components(grid: PseudoGrid, epsilon: float) -> ComponentLabeling:
     """4-connected components of the cells with sigma_min < epsilon."""
-    if not epsilon > 0.0:
+    if not _as_real(epsilon) > 0.0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     labels, count = _label(grid.values < epsilon, connect8=False)
     return ComponentLabeling(epsilon=float(epsilon), labels=labels, count=count)
@@ -148,7 +149,7 @@ def connectivity_order(grid: PseudoGrid, epsilon: float) -> int:
     wedges at disk-intersection cusps pinch off into spurious
     single-cell components.
     """
-    if not epsilon > 0.0:
+    if not _as_real(epsilon) > 0.0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     return _label(~(grid.values < epsilon), connect8=True)[1]
 
@@ -238,7 +239,7 @@ def certify_path(a, path: PolyPath, cfg: RunConfig = DEFAULT_CONFIG) -> PathCert
     if not path.vertices:
         raise ValueError("path must have at least one vertex")
     verts = np.asarray(path.vertices, dtype=complex)
-    if not path.epsilon > 0.0:
+    if not _as_real(path.epsilon) > 0.0:
         raise ValueError(f"epsilon must be positive, got {path.epsilon}")
     inv_eps = 1.0 / path.epsilon
 
@@ -359,11 +360,11 @@ def find_path(
             (reason "iteration-limit"); the partial path rides along.
     """
     op = as_operator(a)
-    if not epsilon > 0.0:
+    if not _as_real(epsilon) > 0.0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     eigs = op.eigenvalues
     inv_eps = 1.0 / epsilon
-    z = complex(z)
+    z = _as_complex(z)
     fz = float(_norms_at(op, [z])[0])
     if not fz > inv_eps:
         raise DomainError(

@@ -280,17 +280,18 @@ def test_taylor_local_min_needs_theta(capsys, shift4_file):
 
 def test_examples_commands(capsys, tmp_path):
     specs = [
-        (["examples", "diag", "--entries", "0,0;3,0"], 2),
-        (["examples", "zigzag", "--n", "4"], 4),
-        (["examples", "shift", "--weights", "2,1"], 2),
-        (["examples", "jordan", "--n", "3", "--lam", "0,0"], 3),
-        (["examples", "random", "--n", "5", "--seed", "9"], 5),
+        (["examples", "diag", "--entries", "0,0;3,0"], 2, []),
+        (["examples", "zigzag", "--n", "4"], 4, []),
+        (["examples", "shift", "--weights", "2,1"], 2, ["weights"]),
+        (["examples", "jordan", "--n", "3", "--lam", "0,0"], 3, []),
+        (["examples", "random", "--n", "5", "--seed", "9"], 5, ["seed", "rng"]),
     ]
-    for argv, n in specs:
+    for argv, n, extras in specs:
         target = tmp_path / f"{argv[1]}.json"
         code, out = run(capsys, *argv, "-o", str(target))
         assert code == 0
         meta = json.loads(out)
+        assert list(meta) == ["name", "file", *extras, "n"]
         assert meta["name"] == argv[1]
         assert meta["n"] == n
         assert rg.load_matrix(str(target)).shape == (n, n)
@@ -315,8 +316,22 @@ def test_examples_random_metadata(capsys, tmp_path):
 
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
-    assert main(["analyze", "--help"]) == 0
+    for command in ("analyze", "growth", "path", "grid", "examples", "localmin", "taylor"):
+        assert main([command, "--help"]) == 0
+    for name in ("diag", "zigzag", "shift", "jordan", "random"):
+        assert main(["examples", name, "--help"]) == 0
+        assert f"usage: resgrow examples {name}" in capsys.readouterr().out
     capsys.readouterr()
+
+
+def test_unwritable_output_exits_2(capsys, diag_file, tmp_path):
+    target = str(tmp_path / "missing" / "out.json")
+    # a result, and the near-singular report written instead of one
+    assert main(["analyze", diag_file, "--z", "1,0", "--output", target]) == 2
+    assert main(["analyze", diag_file, "--z", "3,0", "--output", target]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("resgrow: error:") == 2
 
 
 def test_module_entry_point(diag_file):

@@ -44,6 +44,13 @@ def test_from_dict_type_checks():
         config_from_dict({"s_seg": True})
     with pytest.raises(ValueError):
         config_from_dict({"tol_svd": "tiny"})
+    # the same type rule holds for a RunConfig built directly or replaced
+    with pytest.raises(ValueError, match="must be an integer"):
+        RunConfig(s_seg=2.5)
+    with pytest.raises(ValueError, match="must be an integer"):
+        DEFAULT_CONFIG.replace(max_steps=True)
+    with pytest.raises(ValueError, match="must be a number"):
+        RunConfig(tol_svd="x")
     # values of the right type but outside the legal range
     for bad in (
         {"tol_singular": float("nan")},
@@ -61,8 +68,9 @@ def test_from_dict_type_checks():
     # the smallest legal values
     cfg = config_from_dict({"s_seg": 2, "max_steps": 1, "max_halvings": 0, "tol_zero": 0})
     assert (cfg.s_seg, cfg.max_steps, cfg.max_halvings, cfg.tol_zero) == (2, 1, 0, 0.0)
-    # ints are acceptable where floats are expected
+    # ints are acceptable where floats are expected, and stored as floats
     assert config_from_dict({"tol_svd": 1}).tol_svd == 1.0
+    assert isinstance(RunConfig(tol_svd=1).tol_svd, float)
 
 
 def test_load_config_roundtrip(tmp_path):

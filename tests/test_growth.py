@@ -108,6 +108,8 @@ def test_bound_check_linear_fails_on_flat_point(shift4):
     assert not check.passed
     assert check.witness is not None
     assert check.witness["t"] == pytest.approx(0.125)
+    # the witness holds the sample itself; the payload writes zeta as [re, im]
+    assert check.witness["zeta"] == report.samples[1][1]
     assert check.witness["norm"] < check.witness["required"]
 
 

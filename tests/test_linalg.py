@@ -44,6 +44,41 @@ def test_as_vector_validation():
         as_vector([1.0, object()])
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda a, point, grid: rg.analyze_point(a, None), "z must be a complex number"),
+        (lambda a, point, grid: rg.find_path(a, 0.5, None), "z must be a complex number"),
+        (lambda a, point, grid: rg.find_path(a, "1", 0j), "epsilon must be positive"),
+        (lambda a, point, grid: rg.local_min_probe(a, 0j, "x"), "r0 must be positive"),
+        (
+            lambda a, point, grid: rg.grid_sigma_min(a, 0, 1, 0, 1, "3", 3),
+            "grid must be at least 2x2",
+        ),
+        (lambda a, point, grid: rg.sample_segment(a, point, "x"), "a0 must be positive"),
+        (lambda a, point, grid: rg.components(grid, "x"), "epsilon must be positive"),
+        (
+            lambda a, point, grid: rg.taylor_remainder_check(
+                a, 0j, point.psi, None, rg.default_taylor_steps()
+            ),
+            "theta0 must be a finite angle",
+        ),
+    ],
+    ids=[
+        "analyze-z", "path-z", "path-epsilon", "localmin-r0", "grid-nx", "segment-a0",
+        "components-epsilon", "taylor-theta0",
+    ],
+)
+def test_non_number_scalars_raise_value_error(call, message):
+    """A scalar argument that is not a number fails like an out-of-range
+    one, with ValueError, not with a TypeError from deep inside."""
+    a = rg.random_dense(8, 1)
+    point = rg.analyze_point(a, 0j)
+    grid = rg.grid_sigma_min(a, 0, 1, 0, 1, 3, 3)
+    with pytest.raises(ValueError, match=message):
+        call(a, point, grid)
+
+
 def test_svd_reconstructs():
     rng = np.random.default_rng(7)
     for n in (1, 2, 5, 9, 32):

@@ -38,7 +38,8 @@ def test_payload_hashes_cli_group_is_deterministic(tmp_path, monkeypatch):
     first = tool.cli_lines()
     assert first == tool.cli_lines()
     codes = [line.rsplit("=", 1)[1] for line in first if "/exit=" in line]
-    assert len(codes) == len(tool.CLI_RUNS) + 1
-    # a near-singular analyze (3) and a search failure (5) are covered
-    assert sorted(set(codes)) == ["0", "3", "5"]
+    assert len(codes) == len(tool.CLI_RUNS)
+    # a domain error (2), a near-singular analyze (3), a failed growth
+    # bound (4) and a search failure (5) are covered
+    assert sorted(set(codes)) == ["0", "2", "3", "4", "5"]
     assert os.getcwd() == str(tmp_path) and not os.listdir(tmp_path)

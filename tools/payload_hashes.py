@@ -15,8 +15,9 @@ prints the same lines.  The groups are
 - ``cli/<k>/<command>/exit=<code>`` and ``cli/<k>/<file>``: the exit
   code and stdout of run k of a fixed list of CLI runs through
   ``resgrow.cli.main``, and each file the run writes.  The runs cover
-  every subcommand, a near-singular and a search-failure report, and
-  the zigzag4 grid at 160^2.
+  every subcommand, every exit code (a near-singular report, a failed
+  growth bound with its witness, a domain error, a search-failure
+  report), ``--output``, ``grid --meta`` and the zigzag4 grid at 160^2.
 
 BLAS runs on one thread.  The whole run takes a few seconds.
 """
@@ -46,6 +47,16 @@ from resgrow.serialize import dumps  # noqa: E402
 
 PATH_SUITE_SEEDS = (5, 31, 32)
 
+
+def _search_failure_run() -> list[str]:
+    """`resgrow path` on the Jordan query of the path suite that ends in
+    SearchError("singular-vertex"), at epsilon = 1.3 sigma_min(A - zI)."""
+    z = 0.536 - 0.176j
+    a = jordan_block(16, 0.5)
+    eps = 1.3 * float(np.linalg.svd(a - z * np.eye(16), compute_uv=False)[-1])
+    return ["path", "j16.json", "--z", f"{z.real!r},{z.imag!r}", "--epsilon", repr(eps)]
+
+
 # each run is an argument list for `resgrow`; files are named relative
 # to a fresh working directory, so no absolute path enters a payload
 CLI_RUNS = (
@@ -69,6 +80,14 @@ CLI_RUNS = (
     ["taylor", "diag.json", "--z", "1,0"],
     ["grid", "zigzag4.json", "--bounds=-0.5,5.5,-2.5,2.5", "--nx", "160", "--ny", "160",
      "--epsilon", "1.08", "--csv", "grid.csv"],
+    _search_failure_run(),
+    ["growth", "s4.json", "--z", "0,0", "--theta", "0", "--expect", "linear"],
+    ["growth", "diag.json", "--z", "1,0", "--a0", "5"],
+    ["analyze", "r8.json", "--z", "0.5,0.5", "--output", "point.json"],
+    ["grid", "zigzag4.json", "--bounds=-0.5,5.5,-2.5,2.5", "--nx", "40", "--ny", "30",
+     "--epsilon", "1.08", "--csv", "g40.csv", "--meta", "g40-meta.json"],
+    ["taylor", "diag.json", "--z", "1,0", "--steps", "0.01,0.005,0.0025,0.00125"],
+    ["localmin", "s4.json", "--z", "0,0", "--r0", "0.05", "--radial", "4", "--angular", "8"],
 )
 
 
@@ -82,15 +101,6 @@ def _load(name: str, path: Path):
     sys.modules[name] = module  # dataclasses look their module up here
     spec.loader.exec_module(module)
     return module
-
-
-def _search_failure_run() -> list[str]:
-    """`resgrow path` on the Jordan query of the path suite that ends in
-    SearchError("singular-vertex"), at epsilon = 1.3 sigma_min(A - zI)."""
-    z = 0.536 - 0.176j
-    a = jordan_block(16, 0.5)
-    eps = 1.3 * float(np.linalg.svd(a - z * np.eye(16), compute_uv=False)[-1])
-    return ["path", "j16.json", "--z", f"{z.real!r},{z.imag!r}", "--epsilon", repr(eps)]
 
 
 def criteria_lines() -> list[str]:
@@ -123,10 +133,11 @@ def cli_lines() -> list[str]:
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)
         try:
-            for k, argv in enumerate((*CLI_RUNS, _search_failure_run())):
+            for k, argv in enumerate(CLI_RUNS):
                 before = set(os.listdir("."))
                 out = io.StringIO()
-                with contextlib.redirect_stdout(out):
+                # stderr carries only the message of an exit-2 run
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
                     code = cli_main(argv)
                 report = f"{code}\n{out.getvalue()}"
                 lines.append(f"{_sha(report)}  cli/{k}/{argv[0]}/exit={code}")
