@@ -8,11 +8,37 @@ JSON file plus flag overrides.  No environment variables are consulted.
 
 from __future__ import annotations
 
+import cmath
 import dataclasses
 import json
 import math
 import numbers
 from dataclasses import dataclass
+
+# The scalar argument rule of the package: each helper returns the value
+# converted or raises ValueError naming it.  bool is not a number.
+
+
+def _integer(name: str, value, low: int) -> int:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+    return int(value)
+
+
+def _real(name: str, value, low: float = -math.inf, positive: bool = False) -> float:
+    """A finite real >= low, or > 0 when positive."""
+    ok = not isinstance(value, bool) and isinstance(value, numbers.Real) and math.isfinite(value)
+    if not (ok and (value > 0 if positive else value >= low)):
+        what = "positive" if positive else "a number" + (f" >= {low}" if low > -math.inf else "")
+        raise ValueError(f"{name} must be {what} and finite, got {value!r}")
+    return float(value)
+
+
+def _point(name: str, value) -> complex:
+    if isinstance(value, bool) or not isinstance(value, numbers.Complex) or not cmath.isfinite(value):
+        raise ValueError(f"{name} must be a complex number and finite, got {value!r}")
+    return complex(value)
+
 
 # smallest legal value of each integer field; floats must be finite and >= 0
 _INT_MINIMUMS = {"s_seg": 2, "max_steps": 1, "max_halvings": 0}
@@ -41,17 +67,12 @@ class RunConfig:
     max_halvings: int = 40
 
     def __post_init__(self):
-        """Check every field: an integer field takes an integer, a float
-        field any real number, stored as a float; bool counts as neither."""
+        """Check every field by the package's scalar rule: an integer field
+        takes an integer, a float field a finite real >= 0, stored as a float."""
         for name, value in vars(self).items():
-            is_int = name in _INT_MINIMUMS
-            kind, what = (numbers.Integral, "an integer") if is_int else (numbers.Real, "a number")
-            if isinstance(value, bool) or not isinstance(value, kind):
-                raise ValueError(f"config key {name!r} must be {what}")
-            low = _INT_MINIMUMS.get(name, 0.0)
-            if not (math.isfinite(value) and value >= low):
-                raise ValueError(f"config key {name!r} must be finite and >= {low}, got {value}")
-            object.__setattr__(self, name, int(value) if is_int else float(value))
+            key, low = f"config key {name!r}", _INT_MINIMUMS.get(name)
+            value = _real(key, value, 0.0) if low is None else _integer(key, value, low)
+            object.__setattr__(self, name, value)
 
     def replace(self, **kw) -> "RunConfig":
         return dataclasses.replace(self, **kw)

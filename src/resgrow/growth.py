@@ -16,11 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import GrowthCase, ResolventPoint, _growth_quantities
-from .config import DEFAULT_CONFIG, RunConfig
+from .config import DEFAULT_CONFIG, RunConfig, _integer, _point, _real
 from .errors import DomainError
 from .linalg import (
     ShiftedSolver,
-    _as_real,
     as_operator,
     as_vector,
     circle_directions,
@@ -41,16 +40,20 @@ _BOUND_SLACK_REL = 1e-12
 # acceptance window for the radial profile exponent of a local minimum
 PROFILE_EXPONENT_RANGE = (1.7, 2.3)
 
+# times sample_segment_auto halves its segment before giving up
+_AUTO_HALVINGS = 10
 
-def _fit_power(dists: np.ndarray, excesses: np.ndarray) -> tuple[float, float] | None:
+
+def _fit_power(dists, excesses, curvature: bool = True) -> tuple[float, float] | None:
     """Least-squares power-law fit excess ~ C * d**delta on log-log data.
 
-    With four or more samples a nuisance term linear in d is included:
-    the resolvent norm is not an exact power law away from d -> 0 (on a
-    normal matrix the excess is d/(dist*(dist-d)), already ~12% steeper
-    than linear in log-log over a quarter-distance segment), and the
-    extra term absorbs that curvature so delta estimates the d -> 0
-    growth order.  Returns (delta, C), or None below two samples.
+    With curvature and four or more samples a nuisance term linear in d
+    is included: the resolvent norm is not an exact power law away from
+    d -> 0 (on a normal matrix the excess is d/(dist*(dist-d)), already
+    ~12% steeper than linear in log-log over a quarter-distance
+    segment), and the extra term absorbs that curvature so delta
+    estimates the d -> 0 growth order.  Returns (delta, C), or None
+    below two samples.
     """
     k = dists.shape[0]
     if k < 2:
@@ -58,7 +61,7 @@ def _fit_power(dists: np.ndarray, excesses: np.ndarray) -> tuple[float, float] |
     x = np.log(dists)
     y = np.log(excesses)
     cols = [np.ones(k), x]
-    if k >= 4:
+    if curvature and k >= 4:
         cols.append(dists)
     design = np.stack(cols, axis=1)
     coef, *_ = np.linalg.lstsq(design, y, rcond=None)
@@ -112,20 +115,18 @@ def sample_segment(
     analyzed theta0; a local minimum point has none, so supply one.
 
     Raises:
-        ValueError: m < 8, a0 <= 0, or a missing direction.
+        ValueError: m not an integer >= 8, a0 not positive, a direction
+            that is not finite, or a missing direction.
         DomainError: a0 >= spectral distance (the segment would leave
             the resolvent set).
     """
     a = as_operator(a)
-    if not _as_real(m) >= 8:
-        raise ValueError(f"m must be at least 8, got {m}")
-    if not _as_real(a0) > 0.0:
-        raise ValueError(f"a0 must be positive, got {a0}")
+    m, a0 = _integer("m", m, 8), _real("a0", a0, positive=True)
     if a0 >= point.spectral_distance:
         raise DomainError(
             f"a0={a0} reaches the spectrum (spectral distance {point.spectral_distance})"
         )
-    theta = point.theta0 if direction is None else float(direction)
+    theta = point.theta0 if direction is None else _real("direction", direction)
     if theta is None:
         raise ValueError("a local minimum point has no theta0; supply a direction")
 
@@ -145,7 +146,7 @@ def sample_segment(
     return SegmentReport(
         z=point.z,
         z_prime=complex(zetas[-1]),
-        a0=float(a0),
+        a0=a0,
         samples=tuple(
             (float(t), complex(zeta), float(norm))
             for t, zeta, norm in zip(ts, zetas, norms)
@@ -164,17 +165,16 @@ def sample_segment_auto(
     m: int = 16,
     direction: float | None = None,
     cfg: RunConfig = DEFAULT_CONFIG,
-    max_halvings: int = 10,
 ) -> SegmentReport:
     """Sample with the default segment length, shrinking it on failure.
 
-    Starts at a quarter of the spectral distance and halves until every
-    t > 0 sample exceeds the base norm.  If the budget runs out the
-    last report is returned with its fit marked undefined.
+    Starts at a quarter of the spectral distance and halves, at most
+    _AUTO_HALVINGS times, until every t > 0 sample exceeds the base norm;
+    else the last report is returned with its fit marked undefined.
     """
     a0 = 0.25 * point.spectral_distance
     report = None
-    for _ in range(max_halvings + 1):
+    for _ in range(_AUTO_HALVINGS + 1):
         report = sample_segment(a, point, a0, m, direction, cfg)
         if report.min_excess > 0.0:
             return report
@@ -252,23 +252,20 @@ def local_min_probe(
     direction.  a is a matrix or an Operator.
 
     Raises:
-        ValueError: angular < 8 or radial < 4 or r0 <= 0.
+        ValueError: z not finite, r0 not positive, radial not an integer
+            >= 4 or angular not an integer >= 8.
         DomainError: the probe disk reaches the spectrum.
     """
     op = as_operator(a)
-    if not _as_real(angular) >= 8:
-        raise ValueError(f"angular must be at least 8, got {angular}")
-    if not _as_real(radial) >= 4:
-        raise ValueError(f"radial must be at least 4, got {radial}")
-    if not _as_real(r0) > 0.0:
-        raise ValueError(f"r0 must be positive, got {r0}")
+    z, r0 = _point("z", z), _real("r0", r0, positive=True)
+    radial, angular = _integer("radial", radial, 4), _integer("angular", angular, 8)
     dist = spectral_distance(op.eigenvalues, z)
     if r0 >= dist:
         raise DomainError(f"probe radius r0={r0} reaches the spectrum (distance {dist})")
 
     base = ShiftedSolver(op, z, cfg).norm
     radii = r0 * (np.arange(radial) + 1) / radial
-    zetas = complex(z) + radii[:, None] * circle_directions(angular)[None, :]
+    zetas = z + radii[:, None] * circle_directions(angular)[None, :]
     sigmas = sigma_min_batch(op, zetas.ravel()).reshape(radial, angular)
     excess = norms_from_sigma(sigmas) - base
     profile = excess.min(axis=1)
@@ -308,7 +305,9 @@ class TaylorCheck:
 
 
 def default_taylor_steps(start: float = 1e-2, levels: int = 7) -> tuple[float, ...]:
-    """Halving ladder start, start/2, ..., start/2^(levels-1)."""
+    """Halving ladder start, start/2, ..., start/2^(levels-1); ValueError
+    unless start is positive and levels an integer >= 1."""
+    start, levels = _real("start", start, positive=True), _integer("levels", levels, 1)
     return tuple(start * 0.5**i for i in range(levels))
 
 
@@ -329,18 +328,16 @@ def taylor_remainder_check(
     per halving near 8.  a is a matrix or an Operator.
 
     Raises:
-        ValueError: empty or non-decreasing or non-positive steps, or a
-            theta0 that is not a finite angle (a local minimum has none).
+        ValueError: z or theta0 not finite (a local minimum has no
+            theta0), or steps not positive and strictly decreasing, or
+            fewer than two of them.
         DomainError: largest step at or beyond half the spectral distance.
     """
     op = as_operator(a)
-    if not np.isfinite(_as_real(theta0)):
-        raise ValueError(f"theta0 must be a finite angle, got {theta0!r}")
-    steps = tuple(_as_real(h) for h in steps)
-    if not steps:
-        raise ValueError("steps must be a non-empty decreasing sequence")
-    if not all(h > 0.0 for h in steps):
-        raise ValueError("steps must be positive")
+    z, theta0 = _point("z", z), _real("theta0", theta0)
+    steps = tuple(_real("steps", h, positive=True) for h in steps)
+    if len(steps) < 2:
+        raise ValueError(f"steps must be a decreasing sequence of two or more, got {steps}")
     if any(h2 >= h1 for h1, h2 in zip(steps, steps[1:])):
         raise ValueError("steps must be strictly decreasing")
     dist = spectral_distance(op.eigenvalues, z)
@@ -353,7 +350,7 @@ def taylor_remainder_check(
     psi = as_vector(psi, solver.matrix.shape[0])
     alpha, beta, gamma, base_sq = _growth_quantities(solver, psi)
 
-    direction = np.exp(-1j * float(theta0))
+    direction = np.exp(-1j * theta0)
     residuals = []
     for h in steps:
         w = h * direction
@@ -369,12 +366,9 @@ def taylor_remainder_check(
 
     # plain log-log slope: the steps are small enough that power-law
     # curvature is negligible here (the floor only guards log(0))
-    x = np.log(np.asarray(steps))
-    y = np.log(np.maximum(np.asarray(residuals), 1e-300))
-    design = np.stack([np.ones(len(steps)), x], axis=1)
-    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
+    order, _ = _fit_power(np.asarray(steps), np.maximum(residuals, 1e-300), curvature=False)
     return TaylorCheck(
         steps=steps,
         residuals=tuple(float(r) for r in residuals),
-        fitted_order=float(coef[1]),
+        fitted_order=order,
     )

@@ -15,14 +15,12 @@ sigma_min evaluations, by triangular solves with the Schur form.
 from __future__ import annotations
 
 import json
-import math
-import numbers
 from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
-from .config import DEFAULT_CONFIG, RunConfig
+from .config import DEFAULT_CONFIG, RunConfig, _integer, _point
 from .errors import DecompositionError, NearSingularError
 from .serialize import dumps, payload
 
@@ -56,19 +54,6 @@ def as_matrix(obj) -> np.ndarray:
     if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
     return a
-
-
-def _as_complex(z) -> complex:
-    """complex(z) for a number z; ValueError, not TypeError, for anything else."""
-    if not isinstance(z, numbers.Complex):
-        raise ValueError(f"z must be a complex number, got {z!r}")
-    return complex(z)
-
-
-def _as_real(x) -> float:
-    """float(x) for a real number x and NaN for anything else (None, a string),
-    so that a range check written ``not x > 0.0`` rejects both with its ValueError."""
-    return float(x) if isinstance(x, numbers.Real) else math.nan
 
 
 def as_vector(obj, n: int | None = None) -> np.ndarray:
@@ -173,8 +158,8 @@ def eigenvalues(m) -> np.ndarray:
 
 
 def spectral_distance(eigs: np.ndarray, z: complex) -> float:
-    """Distance from z to a finite set of eigenvalues."""
-    return float(np.min(np.abs(np.asarray(eigs) - _as_complex(z))))
+    """Distance from z to a finite set of eigenvalues (ValueError unless z is finite)."""
+    return float(np.min(np.abs(np.asarray(eigs) - _point("z", z))))
 
 
 def _read_only(x: np.ndarray) -> np.ndarray:
@@ -225,12 +210,13 @@ class ShiftedSolver:
     right-hand side, for the norm, and for the maximizing vector.
 
     Raises:
+        ValueError: z is not a finite complex number.
         NearSingularError: if sigma_min(A - zI) <= cfg.tol_singular.
     """
 
     def __init__(self, a, z: complex, cfg: RunConfig = DEFAULT_CONFIG):
         a = as_matrix(a)
-        self.z = _as_complex(z)
+        self.z = _point("z", z)
         self.cfg = cfg
         self.matrix = a - self.z * np.eye(a.shape[0])
         self.decomposition = svd(self.matrix, cfg)
@@ -285,7 +271,7 @@ def shifted_solve(a, z: complex, b, cfg: RunConfig = DEFAULT_CONFIG) -> np.ndarr
     return ShiftedSolver(a, z, cfg).solve(b)
 
 
-def sigma_min_batch(a, zs, chunk_bytes: int = 1 << 26) -> np.ndarray:
+def sigma_min_batch(a, zs) -> np.ndarray:
     """Smallest singular value of A - zI for every z in a 1-D array.
 
     A is a matrix or an Operator.  Fewer than ``_SCHUR_MIN_POINTS``
@@ -303,12 +289,12 @@ def sigma_min_batch(a, zs, chunk_bytes: int = 1 << 26) -> np.ndarray:
     scipy.
 
     Never raises on singularity: exact hits store 0 (in Lanczos, z = some
-    t_ii).  Chunks keep temporaries below about ``chunk_bytes``.
+    t_ii).  Chunks keep temporaries below about ``_CHUNK_BYTES``.
     """
     m = as_matrix(a)
     zs = np.asarray(zs, dtype=complex).ravel()
     n = m.shape[0]
-    chunk = max(1, chunk_bytes // (16 * n * n))
+    chunk = max(1, _CHUNK_BYTES // (16 * n * n))
     if n >= _SCHUR_MIN_N and zs.shape[0] >= _SCHUR_MIN_POINTS:
         return _sigma_min_schur(as_operator(a), zs, chunk)
     return _sigma_min_svd(m, zs, chunk)
@@ -316,12 +302,14 @@ def sigma_min_batch(a, zs, chunk_bytes: int = 1 << 26) -> np.ndarray:
 
 # Below either size the batched SVD is faster (tools/sigma_min_crossover.py);
 # then the Ritz value settling tolerance, the Lanczos step cap before the
-# SVD takes over, and the block size where triangular solves stop splitting.
+# SVD takes over, the block size where triangular solves stop splitting,
+# and the bound on the temporaries of one chunk of points.
 _SCHUR_MIN_N = 48
 _SCHUR_MIN_POINTS = 64
 _LANCZOS_REL = 1e-14
 _LANCZOS_MAX_ITER = 24
 _LEAF_ROWS = 16
+_CHUNK_BYTES = 1 << 26
 
 
 def _sigma_min_schur(op: Operator, zs: np.ndarray, chunk: int) -> np.ndarray:
@@ -449,9 +437,7 @@ def matrix_from_dict(data) -> np.ndarray:
         raise ValueError("matrix payload must be a JSON object")
     if set(data.keys()) != {"n", "entries"}:
         raise ValueError('matrix payload must have exactly the keys "n" and "entries"')
-    n = data["n"]
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValueError('"n" must be a positive integer')
+    n = _integer('"n"', data["n"], 1)
     entries = data["entries"]
     if not isinstance(entries, list) or len(entries) != n * n:
         raise ValueError(f'"entries" must hold exactly n*n = {n * n} pairs')

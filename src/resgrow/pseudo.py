@@ -14,9 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import GrowthCase, analyze_point
-from .config import DEFAULT_CONFIG, RunConfig
+from .config import DEFAULT_CONFIG, RunConfig, _integer, _point, _real
 from .errors import DomainError, NearSingularError, SearchError
-from .linalg import _as_complex, _as_real, as_operator, circle_directions
+from .linalg import as_operator, circle_directions
 from .linalg import norms_from_sigma, sigma_min_batch
 from .serialize import csv_text, payload
 
@@ -88,11 +88,12 @@ def grid_sigma_min(
     nx: int,
     ny: int,
 ) -> PseudoGrid:
-    """Evaluate sigma_min(A - zI) on an nx x ny cell-center grid; a may be an Operator."""
+    """Evaluate sigma_min(A - zI) on an nx x ny cell-center grid; a may be an Operator.
+    ValueError unless nx, ny >= 2 are integers and re_min < re_max, im_min < im_max finite."""
     a = as_operator(a)
-    if not (_as_real(nx) >= 2 and _as_real(ny) >= 2):
-        raise ValueError(f"grid must be at least 2x2, got {nx}x{ny}")
-    re_min, re_max, im_min, im_max = map(_as_real, (re_min, re_max, im_min, im_max))
+    nx, ny = _integer("nx", nx, 2), _integer("ny", ny, 2)
+    re_min, re_max = _real("re_min", re_min), _real("re_max", re_max)
+    im_min, im_max = _real("im_min", im_min), _real("im_max", im_max)
     if not (re_min < re_max and im_min < im_max):
         raise ValueError("grid bounds must satisfy re_min < re_max and im_min < im_max")
     re = _cell_centers(re_min, re_max, nx)
@@ -104,8 +105,8 @@ def grid_sigma_min(
         re_max=re_max,
         im_min=im_min,
         im_max=im_max,
-        nx=int(nx),
-        ny=int(ny),
+        nx=nx,
+        ny=ny,
         values=values,
     )
 
@@ -132,11 +133,10 @@ def _label(mask: np.ndarray, connect8: bool) -> tuple[np.ndarray, int]:
 
 
 def components(grid: PseudoGrid, epsilon: float) -> ComponentLabeling:
-    """4-connected components of the cells with sigma_min < epsilon."""
-    if not _as_real(epsilon) > 0.0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    """4-connected components of the cells with sigma_min < epsilon (ValueError unless > 0)."""
+    epsilon = _real("epsilon", epsilon, positive=True)
     labels, count = _label(grid.values < epsilon, connect8=False)
-    return ComponentLabeling(epsilon=float(epsilon), labels=labels, count=count)
+    return ComponentLabeling(epsilon=epsilon, labels=labels, count=count)
 
 
 def connectivity_order(grid: PseudoGrid, epsilon: float) -> int:
@@ -147,10 +147,9 @@ def connectivity_order(grid: PseudoGrid, epsilon: float) -> int:
     is labeled with 8-connectivity, the standard dual of 4-connected
     foreground labeling; without the duality, hair-thin complement
     wedges at disk-intersection cusps pinch off into spurious
-    single-cell components.
+    single-cell components.  ValueError unless epsilon > 0.
     """
-    if not _as_real(epsilon) > 0.0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    epsilon = _real("epsilon", epsilon, positive=True)
     return _label(~(grid.values < epsilon), connect8=True)[1]
 
 
@@ -233,15 +232,14 @@ def certify_path(a, path: PolyPath, cfg: RunConfig = DEFAULT_CONFIG) -> PathCert
     at an unproved interval no longer than the slack, and with a
     "min_f_unproved" failure when the next level would bring the total
     past _CERT_SAMPLES_PER_SEGMENT evaluations per segment.  a is a
-    matrix or an Operator, whose ``norm`` gives ||A||_2.
+    matrix or an Operator, whose ``norm`` gives ||A||_2.  ValueError: no
+    vertices, or epsilon not positive.
     """
     op = as_operator(a)
     if not path.vertices:
         raise ValueError("path must have at least one vertex")
     verts = np.asarray(path.vertices, dtype=complex)
-    if not _as_real(path.epsilon) > 0.0:
-        raise ValueError(f"epsilon must be positive, got {path.epsilon}")
-    inv_eps = 1.0 / path.epsilon
+    inv_eps = 1.0 / _real("epsilon", path.epsilon, positive=True)
 
     sigma = sigma_min_batch(op, verts)
     norms = norms_from_sigma(sigma)
@@ -351,6 +349,7 @@ def find_path(
     matrix or an Operator; one Operator serves search and certificate.
 
     Raises:
+        ValueError: epsilon not positive, or z not finite.
         DomainError: f(z) <= 1/epsilon (query outside the set).
         SearchError: no admissible step exists (reason "step-failure"),
             a vertex farther than epsilon/2 from every computed
@@ -360,11 +359,9 @@ def find_path(
             (reason "iteration-limit"); the partial path rides along.
     """
     op = as_operator(a)
-    if not _as_real(epsilon) > 0.0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    epsilon, z = _real("epsilon", epsilon, positive=True), _point("z", z)
     eigs = op.eigenvalues
     inv_eps = 1.0 / epsilon
-    z = _as_complex(z)
     fz = float(_norms_at(op, [z])[0])
     if not fz > inv_eps:
         raise DomainError(
@@ -386,7 +383,7 @@ def find_path(
             # deterministic (re, im) eigenvalue order
             lam = complex(eigs[nearest])
             vertices.append(lam)
-            path = PolyPath(tuple(vertices), lam, float(epsilon), delta)
+            path = PolyPath(tuple(vertices), lam, epsilon, delta)
             return path, certify_path(op, path, cfg)
 
         try:

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .config import DEFAULT_CONFIG, RunConfig
+from .config import DEFAULT_CONFIG, RunConfig, _integer, _point
 from .errors import DecompositionError, NearSingularError
-from .linalg import as_matrix
+from .linalg import as_matrix, as_vector
 
 # the seeded generator behind random_dense, recorded in CLI metadata so
 # outputs can be reproduced elsewhere
@@ -21,9 +21,9 @@ RANDOM_DENSE_RNG_ID = "numpy-pcg64/standard-normal-pair/sqrt2"
 
 
 def diagonal_normal(entries) -> np.ndarray:
-    """diag(entries) for a non-empty sequence of complex scalars."""
-    values = np.asarray(entries, dtype=complex)
-    if values.ndim != 1 or values.shape[0] == 0:
+    """diag(entries) for a non-empty sequence of finite complex scalars."""
+    values = as_vector(entries)
+    if values.shape[0] == 0:
         raise ValueError("entries must be a non-empty 1-D sequence")
     return np.diag(values)
 
@@ -33,11 +33,10 @@ def zigzag_diagonal(n: int) -> np.ndarray:
 
     Consecutive eigenvalues alternate above and below the real axis at
     pairwise distance exactly 2, so slightly super-unit epsilon disks
-    overlap into a single chain that encloses n-2 gaps.
+    overlap into a single chain that encloses n-2 gaps.  ValueError
+    unless n is an integer >= 2.
     """
-    if n < 2:
-        raise ValueError(f"n must be at least 2, got {n}")
-    j = np.arange(1, n + 1)
+    j = np.arange(1, _integer("n", n, 2) + 1)
     return np.diag(j + 1j * (-1.0) ** j * (np.sqrt(3.0) / 2.0))
 
 
@@ -46,10 +45,10 @@ def circulant_weighted_shift_inverse(weights) -> np.ndarray:
 
     M acts as a weighted cyclic shift: (M x)_j = weights[j] * x_{j-1}.
     It is used as the resolvent of a shift operator at the origin, so
-    every weight must be nonzero for M to be invertible.
+    every weight must be nonzero and finite for M to be invertible.
     """
-    w = np.asarray(weights, dtype=complex)
-    if w.ndim != 1 or w.shape[0] < 2:
+    w = as_vector(weights)
+    if w.shape[0] < 2:
         raise ValueError("weights must be a 1-D sequence of length >= 2")
     if np.any(w == 0):
         raise ValueError("all weights must be nonzero")
@@ -83,10 +82,10 @@ def operator_from_inverse(m, cfg: RunConfig = DEFAULT_CONFIG) -> np.ndarray:
 
 
 def jordan_block(n: int, lam: complex) -> np.ndarray:
-    """The n x n Jordan block with eigenvalue lam."""
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
-    m = np.diag(np.full(n, complex(lam)))
+    """The n x n Jordan block with eigenvalue lam (ValueError unless n >= 1
+    is an integer and lam finite)."""
+    n = _integer("n", n, 1)
+    m = np.diag(np.full(n, _point("lam", lam)))
     if n > 1:
         m += np.diag(np.ones(n - 1, dtype=complex), k=1)
     return m
@@ -98,10 +97,9 @@ def random_dense(n: int, seed: int) -> np.ndarray:
     Entries are (x + iy)/sqrt(2) with x, y drawn as two stacked
     standard-normal blocks from numpy's default PCG64 generator, so the
     same (n, seed) pair reproduces the same matrix on every run; see
-    RANDOM_DENSE_RNG_ID.
+    RANDOM_DENSE_RNG_ID.  ValueError unless n >= 1 and seed >= 0 are integers.
     """
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
-    rng = np.random.default_rng(seed)
+    n = _integer("n", n, 1)
+    rng = np.random.default_rng(_integer("seed", seed, 0))
     xy = rng.standard_normal((2, n, n))
     return (xy[0] + 1j * xy[1]) / np.sqrt(2.0)

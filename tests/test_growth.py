@@ -75,9 +75,9 @@ def test_segment_auto(diag03, diag_point):
     assert report.a0 == pytest.approx(0.25 * diag_point.spectral_distance)
     assert report.min_excess > 0
     # descent direction: halvings run out and the fit is marked undefined
-    bad = rg.sample_segment_auto(diag03, diag_point, direction=0.0, max_halvings=4)
+    bad = rg.sample_segment_auto(diag03, diag_point, direction=0.0)
     assert bad.fitted_delta is None
-    assert bad.a0 == pytest.approx(0.25 * 0.5**4)
+    assert bad.a0 == pytest.approx(0.25 * 0.5**10)
     assert bad.min_excess < 0
 
 
@@ -254,6 +254,9 @@ def test_taylor_validation(diag03, diag_point):
         rg.taylor_remainder_check(diag03, 1.0 + 0j, psi, theta, (1e-3, 1e-3))
     with pytest.raises(ValueError):
         rg.taylor_remainder_check(diag03, 1.0 + 0j, psi, theta, (1e-3, -1e-4))
+    # one step fits no order
+    with pytest.raises(ValueError, match="steps must be a decreasing sequence of two or more"):
+        rg.taylor_remainder_check(diag03, 1.0 + 0j, psi, theta, (1e-3,))
     with pytest.raises(rg.DomainError):
         rg.taylor_remainder_check(diag03, 1.0 + 0j, psi, theta, (0.5, 0.25))
 
@@ -264,6 +267,9 @@ def test_default_taylor_steps():
     assert steps[0] == 1e-2
     assert steps[-1] == pytest.approx(1e-2 * 0.5**6)
     assert all(a / b == pytest.approx(2.0) for a, b in zip(steps, steps[1:]))
+    for start, levels in ((0.0, 7), (-1e-2, 7), (1e-2, 0)):
+        with pytest.raises(ValueError):
+            rg.default_taylor_steps(start, levels)
 
 
 def test_excess_floor_is_tiny():

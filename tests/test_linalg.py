@@ -1,4 +1,5 @@
 import json
+import math
 from unittest import mock
 
 import numpy as np
@@ -14,6 +15,10 @@ from resgrow.linalg import (
     canonical_phase,
     svd,
 )
+
+
+# the point at which the scalar-argument tests analyze random_dense(8, 1)
+Z = 0.5 + 0.5j
 
 
 def random_matrix(rng, n):
@@ -53,7 +58,7 @@ def test_as_vector_validation():
         (lambda a, point, grid: rg.local_min_probe(a, 0j, "x"), "r0 must be positive"),
         (
             lambda a, point, grid: rg.grid_sigma_min(a, 0, 1, 0, 1, "3", 3),
-            "grid must be at least 2x2",
+            "nx must be an integer >= 2",
         ),
         (lambda a, point, grid: rg.sample_segment(a, point, "x"), "a0 must be positive"),
         (lambda a, point, grid: rg.components(grid, "x"), "epsilon must be positive"),
@@ -61,22 +66,102 @@ def test_as_vector_validation():
             lambda a, point, grid: rg.taylor_remainder_check(
                 a, 0j, point.psi, None, rg.default_taylor_steps()
             ),
-            "theta0 must be a finite angle",
+            "theta0 must be a number and finite",
         ),
+        # counts that are not integers
+        (lambda a, point, grid: rg.grid_sigma_min(a, 0, 1, 0, 1, 2.5, 3), "nx must be an integer"),
+        (
+            lambda a, point, grid: rg.grid_sigma_min(a, 0, 1, 0, 1, math.inf, 3),
+            "nx must be an integer >= 2",
+        ),
+        (lambda a, point, grid: rg.local_min_probe(a, Z, 0.01, 4.5), "radial must be an integer"),
+        (
+            lambda a, point, grid: rg.local_min_probe(a, Z, 0.01, 4, 8.5),
+            "angular must be an integer >= 8",
+        ),
+        (lambda a, point, grid: rg.sample_segment(a, point, 0.01, 8.5), "m must be an integer"),
+        (lambda a, point, grid: rg.sample_segment_auto(a, point, 8.5), "m must be an integer >= 8"),
+        (lambda a, point, grid: rg.default_taylor_steps(1e-2, 2.5), "levels must be an integer"),
+        (lambda a, point, grid: rg.zigzag_diagonal(2.5), "n must be an integer >= 2"),
+        (lambda a, point, grid: rg.zigzag_diagonal(None), "n must be an integer >= 2"),
+        (lambda a, point, grid: rg.jordan_block(None, 0), "n must be an integer >= 1"),
+        (lambda a, point, grid: rg.jordan_block(2.5, 0), "n must be an integer >= 1"),
+        (lambda a, point, grid: rg.random_dense(None, 1), "n must be an integer >= 1"),
+        (lambda a, point, grid: rg.random_dense(2.5, 1), "n must be an integer >= 1"),
+        (lambda a, point, grid: rg.random_dense(3, "x"), "seed must be an integer >= 0"),
+        # values that are not finite
+        (
+            lambda a, point, grid: rg.analyze_point(a, complex(math.inf, 0)),
+            "z must be a complex number and finite",
+        ),
+        (
+            lambda a, point, grid: rg.find_path(a, 0.5, complex(math.nan, 0)),
+            "z must be a complex number and finite",
+        ),
+        (
+            lambda a, point, grid: rg.local_min_probe(a, complex(math.nan, 0), 0.01),
+            "z must be a complex number and finite",
+        ),
+        (
+            lambda a, point, grid: rg.taylor_remainder_check(
+                a, complex(math.inf, 0), point.psi, 0.0, rg.default_taylor_steps()
+            ),
+            "z must be a complex number and finite",
+        ),
+        (
+            lambda a, point, grid: rg.sample_segment(a, point, 0.01, 16, math.nan),
+            "direction must be a number and finite",
+        ),
+        (
+            lambda a, point, grid: rg.grid_sigma_min(a, -math.inf, 1, 0, 1, 3, 3),
+            "re_min must be a number and finite",
+        ),
+        (lambda a, point, grid: rg.jordan_block(3, math.inf), "lam must be a complex number"),
+        (lambda a, point, grid: rg.diagonal_normal([math.inf]), "vector entries must be finite"),
+        (lambda a, point, grid: rg.find_path(a, math.inf, Z), "epsilon must be positive and finite"),
+        # bool is not a number
+        (lambda a, point, grid: rg.find_path(a, True, Z), "epsilon must be positive and finite"),
     ],
     ids=[
         "analyze-z", "path-z", "path-epsilon", "localmin-r0", "grid-nx", "segment-a0",
         "components-epsilon", "taylor-theta0",
+        "grid-nx-fraction", "grid-nx-inf", "localmin-radial", "localmin-angular", "segment-m",
+        "segment-auto-m", "taylor-levels", "zigzag-n-fraction", "zigzag-n-none",
+        "jordan-n-none", "jordan-n-fraction", "random-n-none", "random-n-fraction",
+        "random-seed", "analyze-z-inf", "path-z-nan", "localmin-z-nan", "taylor-z-inf",
+        "segment-direction-nan", "grid-bound-inf", "jordan-lam-inf", "diagonal-inf",
+        "path-epsilon-inf", "path-epsilon-bool",
     ],
 )
 def test_non_number_scalars_raise_value_error(call, message):
-    """A scalar argument that is not a number fails like an out-of-range
-    one, with ValueError, not with a TypeError from deep inside."""
+    """A scalar argument that is not a number, not finite or, for a count,
+    not an integer fails like an out-of-range one, with a ValueError
+    naming it, not with a TypeError, a warning or a wrong result."""
     a = rg.random_dense(8, 1)
-    point = rg.analyze_point(a, 0j)
+    point = rg.analyze_point(a, Z)
     grid = rg.grid_sigma_min(a, 0, 1, 0, 1, 3, 3)
     with pytest.raises(ValueError, match=message):
         call(a, point, grid)
+
+
+def test_numpy_scalars_are_accepted():
+    """numpy integer, float and complex scalars give the results of the
+    Python scalars of the same value."""
+    a = rg.random_dense(8, 1)
+    grid = rg.grid_sigma_min(a, 0, 1, -0.5, 0.5, 3, 4)
+    np_grid = rg.grid_sigma_min(
+        a, np.int64(0), np.float64(1), np.float64(-0.5), np.float64(0.5), np.int64(3), np.int64(4)
+    )
+    assert np.array_equal(np_grid.values, grid.values)
+    assert (np_grid.re_min, np_grid.im_max, np_grid.nx, np_grid.ny) == (0.0, 0.5, 3, 4)
+    assert type(np_grid.re_min) is float and type(np_grid.nx) is int
+    probe = rg.local_min_probe(a, Z, 0.01, 4, 8)
+    np_probe = rg.local_min_probe(a, np.complex128(Z), np.float64(0.01), np.int64(4), np.int64(8))
+    assert np_probe == probe
+    path, cert = rg.find_path(a, 0.5, Z)
+    np_path, np_cert = rg.find_path(a, np.float64(0.5), np.complex128(Z))
+    assert (np_path, np_cert) == (path, cert)
+    assert type(np_path.epsilon) is float
 
 
 def test_svd_reconstructs():
@@ -234,9 +319,10 @@ def test_sigma_min_batch_matches_loop():
         assert batch[k] == pytest.approx(ref, rel=1e-12, abs=1e-15)
 
 
-def test_sigma_min_batch_chunking_and_exact_hits(diag03):
+def test_sigma_min_batch_chunking_and_exact_hits(diag03, monkeypatch):
     zs = np.array([0.0 + 0j, 3.0 + 0j, 1.0 + 0j])
-    vals = rg.sigma_min_batch(diag03, zs, chunk_bytes=64)  # forces chunk size 1
+    monkeypatch.setattr(linalg, "_CHUNK_BYTES", 64)  # forces chunk size 1
+    vals = rg.sigma_min_batch(diag03, zs)
     assert vals[0] == pytest.approx(0.0, abs=1e-14)
     assert vals[1] == pytest.approx(0.0, abs=1e-14)
     assert vals[2] == pytest.approx(1.0)
@@ -245,7 +331,8 @@ def test_sigma_min_batch_chunking_and_exact_hits(diag03):
     n = 48
     a = rg.jordan_block(n, 0.3 - 0.2j)
     zs = _schur_test_points(a, np.random.default_rng(3), 64)
-    vals = rg.sigma_min_batch(a, zs, chunk_bytes=7 * 16 * n * n)
+    monkeypatch.setattr(linalg, "_CHUNK_BYTES", 7 * 16 * n * n)
+    vals = rg.sigma_min_batch(a, zs)
     _assert_matches_svd(a, zs, vals)
 
 

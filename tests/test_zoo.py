@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -11,8 +13,9 @@ def test_diagonal_normal():
     assert a[0, 1] == 0
     with pytest.raises(ValueError):
         rg.diagonal_normal([])
-    with pytest.raises(ValueError):
-        rg.diagonal_normal([[1.0, 2.0]])
+    for bad in ([[1.0, 2.0]], [math.inf], [math.nan]):
+        with pytest.raises(ValueError):
+            rg.diagonal_normal(bad)
 
 
 def test_zigzag_diagonal():
@@ -42,8 +45,9 @@ def test_circulant_inverse_structure():
                 assert m[j, k] == expected
     with pytest.raises(ValueError):
         rg.circulant_weighted_shift_inverse([2])
-    with pytest.raises(ValueError):
-        rg.circulant_weighted_shift_inverse([2, 0])
+    for bad in ([2, 0], [2, math.inf], [2, math.nan]):
+        with pytest.raises(ValueError):
+            rg.circulant_weighted_shift_inverse(bad)
 
 
 def test_circulant_gram_structure():
@@ -95,8 +99,9 @@ def test_random_dense_reproducible():
     c = rg.random_dense(6, 124)
     assert not np.array_equal(a, c)
     assert a.shape == (6, 6)
-    with pytest.raises(ValueError):
-        rg.random_dense(0, 1)
+    for n, seed in ((0, 1), (3, None), (3, -1)):
+        with pytest.raises(ValueError):
+            rg.random_dense(n, seed)
 
 
 def test_random_dense_unit_variance():
