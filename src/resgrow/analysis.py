@@ -113,7 +113,7 @@ def compute_quantities(
 ) -> tuple[complex, float, complex]:
     """(alpha, beta, gamma) at z for a given unit vector psi."""
     solver = ShiftedSolver(a, z, cfg)
-    psi = as_vector(psi, solver.matrix.shape[0])
+    psi = as_vector(psi, solver.matrix.shape[0], "psi")
     return _growth_quantities(solver, psi)[:3]
 
 
@@ -133,7 +133,9 @@ def classify_and_direction(
 
 
 def analyze_point(a, z: complex, cfg: RunConfig = DEFAULT_CONFIG) -> ResolventPoint:
-    """Complete resolvent analysis at a resolvent-set point of a matrix or an Operator."""
+    """Complete resolvent analysis at a resolvent-set point of a matrix or an
+    Operator.  ValueError unless z is finite; NearSingularError if
+    sigma_min(A - zI) <= cfg.tol_singular."""
     op = as_operator(a)
     solver = ShiftedSolver(op, z, cfg)
     # kept although min_left_vector is phase-fixed: a second pass changes psi's low bits

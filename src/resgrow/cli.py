@@ -52,31 +52,19 @@ from .zoo import (
 )
 
 
+def _floats(text: str, what: str, count: int | None = None) -> tuple[float, ...]:
+    """A comma-separated list of floats, exactly count of them if given."""
+    try:
+        values = tuple(float(p) for p in text.split(","))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"bad {what} {text!r}: {exc}") from None
+    if count is not None and len(values) != count:
+        raise argparse.ArgumentTypeError(f"bad {what} {text!r}: expected {count} numbers")
+    return values
+
+
 def _complex_arg(text: str) -> complex:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError(f"expected re,im but got {text!r}")
-    try:
-        return complex(float(parts[0]), float(parts[1]))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad complex scalar {text!r}: {exc}") from exc
-
-
-def _bounds_arg(text: str) -> tuple[float, float, float, float]:
-    parts = text.split(",")
-    if len(parts) != 4:
-        raise argparse.ArgumentTypeError(f"expected re_min,re_max,im_min,im_max but got {text!r}")
-    try:
-        return tuple(float(p) for p in parts)  # type: ignore[return-value]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad bounds {text!r}: {exc}") from exc
-
-
-def _steps_arg(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(p) for p in text.split(","))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad step list {text!r}: {exc}") from exc
+    return complex(*_floats(text, "re,im", 2))
 
 
 def _weights_arg(text: str) -> tuple[complex, ...]:
@@ -179,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("grid", _cmd_grid, "sigma_min grid as CSV plus metadata JSON", point=False)
     p.add_argument(
         "--bounds",
-        type=_bounds_arg,
+        type=lambda s: _floats(s, "bounds", 4),
         required=True,
         help="re_min,re_max,im_min,im_max (write --bounds=-1,... for a leading minus)",
     )
@@ -207,7 +195,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("taylor", _cmd_taylor, "second-order expansion remainder check")
     p.add_argument("--theta", type=float, help="direction angle (default: analyzed theta0)")
-    p.add_argument("--steps", type=_steps_arg, help="comma-separated decreasing step sizes")
+    p.add_argument(
+        "--steps", type=lambda s: _floats(s, "steps"), help="comma-separated decreasing step sizes"
+    )
 
     return parser
 

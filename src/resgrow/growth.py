@@ -141,7 +141,7 @@ def sample_segment(
     excesses = norms[1:] - base
     dists = np.abs(zetas[1:] - point.z)
     usable = excesses > EXCESS_FLOOR_REL * base
-    fit = _fit_power(dists[usable], excesses[usable]) if np.any(usable) else None
+    fit = _fit_power(dists[usable], excesses[usable])
 
     return SegmentReport(
         z=point.z,
@@ -255,6 +255,7 @@ def local_min_probe(
         ValueError: z not finite, r0 not positive, radial not an integer
             >= 4 or angular not an integer >= 8.
         DomainError: the probe disk reaches the spectrum.
+        NearSingularError: sigma_min(A - zI) <= cfg.tol_singular.
     """
     op = as_operator(a)
     z, r0 = _point("z", z), _real("r0", r0, positive=True)
@@ -272,7 +273,7 @@ def local_min_probe(
     min_excess = float(profile.min())
 
     usable = profile > EXCESS_FLOOR_REL * base
-    fit = _fit_power(radii[usable], profile[usable]) if np.any(usable) else None
+    fit = _fit_power(radii[usable], profile[usable])
     lo, hi = PROFILE_EXPONENT_RANGE
     ok = (
         min_excess >= 0.0
@@ -330,8 +331,9 @@ def taylor_remainder_check(
     Raises:
         ValueError: z or theta0 not finite (a local minimum has no
             theta0), or steps not positive and strictly decreasing, or
-            fewer than two of them.
+            fewer than two of them, or psi not a finite vector of length n.
         DomainError: largest step at or beyond half the spectral distance.
+        NearSingularError: sigma_min(A - zI) <= cfg.tol_singular.
     """
     op = as_operator(a)
     z, theta0 = _point("z", z), _real("theta0", theta0)
@@ -347,7 +349,7 @@ def taylor_remainder_check(
         )
 
     solver = ShiftedSolver(op, z, cfg)
-    psi = as_vector(psi, solver.matrix.shape[0])
+    psi = as_vector(psi, solver.matrix.shape[0], "psi")
     alpha, beta, gamma, base_sq = _growth_quantities(solver, psi)
 
     direction = np.exp(-1j * theta0)

@@ -32,6 +32,20 @@ from .serialize import dumps, payload
 _TIE_REL = 1e-12
 
 
+def _complex_array(name: str, obj, ndim: int) -> np.ndarray:
+    """The array rule of the package: obj as a complex array of ndim
+    dimensions whose entries are finite numbers, or ValueError naming it."""
+    try:
+        a = np.asarray(obj, dtype=complex)
+    except (TypeError, ValueError) as exc:  # entries that are not numbers
+        raise ValueError(f"{name} entries must be numbers: {exc}") from None
+    if a.ndim != ndim:
+        raise ValueError(f"{name} must be {ndim}-dimensional, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError(f"{name} entries must be finite")
+    return a
+
+
 def as_matrix(obj) -> np.ndarray:
     """Validate and return a square complex matrix.
 
@@ -41,33 +55,19 @@ def as_matrix(obj) -> np.ndarray:
     """
     if isinstance(obj, Operator):
         return obj.matrix
-    try:
-        a = np.asarray(obj, dtype=complex)
-    except TypeError as exc:  # entries that are not numbers
-        raise ValueError(f"matrix entries must be numbers: {exc}") from None
-    if a.ndim != 2:
-        raise ValueError(f"matrix must be 2-dimensional, got shape {a.shape}")
+    a = _complex_array("matrix", obj, 2)
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"matrix must be square, got shape {a.shape}")
     if a.shape[0] == 0:
         raise ValueError("empty matrices are not supported (n must be >= 1)")
-    if not np.isfinite(a).all():
-        raise ValueError("matrix entries must be finite")
     return a
 
 
-def as_vector(obj, n: int | None = None) -> np.ndarray:
-    """Validate a finite 1-D complex vector of length n, if given; raises ValueError."""
-    try:
-        v = np.asarray(obj, dtype=complex)
-    except TypeError as exc:
-        raise ValueError(f"vector entries must be numbers: {exc}") from None
-    if v.ndim != 1:
-        raise ValueError(f"vector must be 1-dimensional, got shape {v.shape}")
+def as_vector(obj, n: int | None = None, name: str = "vector") -> np.ndarray:
+    """Validate a finite 1-D complex vector of length n, if given; ValueError names it."""
+    v = _complex_array(name, obj, 1)
     if n is not None and v.shape[0] != n:
-        raise ValueError(f"vector has length {v.shape[0]}, expected {n}")
-    if not np.isfinite(v).all():
-        raise ValueError("vector entries must be finite")
+        raise ValueError(f"{name} has length {v.shape[0]}, expected {n}")
     return v
 
 
@@ -112,7 +112,7 @@ def canonical_phase(v: np.ndarray) -> np.ndarray:
     singular vector: unit vectors that differ only by a global phase
     map to the same representative.
     """
-    v = np.asarray(v, dtype=complex)
+    v = _complex_array("v", v, 1)
     i = int(np.argmax(np.abs(v)))
     mag = abs(v[i])
     if mag == 0.0:
@@ -158,8 +158,11 @@ def eigenvalues(m) -> np.ndarray:
 
 
 def spectral_distance(eigs: np.ndarray, z: complex) -> float:
-    """Distance from z to a finite set of eigenvalues (ValueError unless z is finite)."""
-    return float(np.min(np.abs(np.asarray(eigs) - _point("z", z))))
+    """Distance from z to eigs, a non-empty 1-D array (ValueError unless all are finite)."""
+    eigs = _complex_array("eigs", eigs, 1)
+    if eigs.shape[0] == 0:
+        raise ValueError("eigs must hold at least one eigenvalue")
+    return float(np.min(np.abs(eigs - _point("z", z))))
 
 
 def _read_only(x: np.ndarray) -> np.ndarray:
@@ -253,7 +256,7 @@ class ShiftedSolver:
         the shift sits close to the spectrum.
         """
         u, s, v = self.decomposition
-        b = as_vector(b, self.matrix.shape[0])
+        b = as_vector(b, self.matrix.shape[0], "b")
         x = v @ ((u.conj().T @ b) / s)
         resid = float(np.linalg.norm(self.matrix @ x - b))
         bound = self.cfg.tol_solve * (
@@ -272,27 +275,27 @@ def shifted_solve(a, z: complex, b, cfg: RunConfig = DEFAULT_CONFIG) -> np.ndarr
 
 
 def sigma_min_batch(a, zs) -> np.ndarray:
-    """Smallest singular value of A - zI for every z in a 1-D array.
+    """Smallest singular value of A - zI for every z in a 1-D array zs.
 
-    A is a matrix or an Operator.  Fewer than ``_SCHUR_MIN_POINTS``
-    points, or n < ``_SCHUR_MIN_N``: one batched SVD of the shifted
-    matrices per chunk, the accuracy reference.  Otherwise the route
-    reads the complex Schur form A = Z T Z*, factored once per Operator
-    (once per call for a plain matrix).  If N = triu(T, 1) has ||N||_F
-    <= n·u·||A||_F, sigma_min(T - zI) is taken as min_i |t_ii - z| +
-    ||N||_F (Weyl), else inverse Lanczos on ((T - zI)*(T - zI))^-1 runs
-    for all points in lockstep until the top Ritz value settles to 1e-14
-    relative.  Either agrees with the SVD to 1e-12·sigma + n·u·||A||_F
-    and bounds sigma_min(T - zI) from above.  Points that overflow or do
-    not settle in ``_LANCZOS_MAX_ITER`` steps, or all if the
-    factorization fails, are redone by the SVD.  Only this route imports
-    scipy.
+    A is a matrix or an Operator; ValueError unless zs is 1-D and finite.
+    Fewer than ``_SCHUR_MIN_POINTS`` points, or n < ``_SCHUR_MIN_N``: one
+    batched SVD of the shifted matrices per chunk, the accuracy
+    reference.  Otherwise the route reads the complex Schur form
+    A = Z T Z*, factored once per Operator (once per call for a plain
+    matrix).  If N = triu(T, 1) has ||N||_F <= n·u·||A||_F,
+    sigma_min(T - zI) is taken as min_i |t_ii - z| + ||N||_F (Weyl), else
+    inverse Lanczos on ((T - zI)*(T - zI))^-1 runs for all points in
+    lockstep until the top Ritz value settles to 1e-14 relative.  Either
+    agrees with the SVD to 1e-12·sigma + n·u·||A||_F and bounds
+    sigma_min(T - zI) from above.  Points that overflow or do not settle
+    in ``_LANCZOS_MAX_ITER`` steps, or all if the factorization fails,
+    are redone by the SVD.  Only this route imports scipy.
 
     Never raises on singularity: exact hits store 0 (in Lanczos, z = some
     t_ii).  Chunks keep temporaries below about ``_CHUNK_BYTES``.
     """
     m = as_matrix(a)
-    zs = np.asarray(zs, dtype=complex).ravel()
+    zs = _complex_array("zs", zs, 1)
     n = m.shape[0]
     chunk = max(1, _CHUNK_BYTES // (16 * n * n))
     if n >= _SCHUR_MIN_N and zs.shape[0] >= _SCHUR_MIN_POINTS:

@@ -16,7 +16,7 @@ import numpy as np
 from .analysis import GrowthCase, analyze_point
 from .config import DEFAULT_CONFIG, RunConfig, _integer, _point, _real
 from .errors import DomainError, NearSingularError, SearchError
-from .linalg import as_operator, circle_directions
+from .linalg import _complex_array, as_operator, circle_directions
 from .linalg import norms_from_sigma, sigma_min_batch
 from .serialize import csv_text, payload
 
@@ -172,7 +172,8 @@ class PolyPath:
 
     The first vertex is the query point, the last an eigenvalue (also
     kept in ``eigenvalue``).  ``delta`` is the norm slack
-    (f(x_1) - 1/epsilon)/2 fixed at construction.
+    (f(x_1) - 1/epsilon)/2 fixed at construction.  Points are stored as
+    complex.  ValueError: no vertices, a point not finite, or epsilon not positive.
     """
 
     vertices: tuple[complex, ...]
@@ -180,9 +181,13 @@ class PolyPath:
     epsilon: float
     delta: float
 
-    def __post_init__(self):  # a real number given for a point is stored as complex
-        object.__setattr__(self, "vertices", tuple(map(complex, self.vertices)))
-        object.__setattr__(self, "eigenvalue", complex(self.eigenvalue))
+    def __post_init__(self):
+        vertices = _complex_array("vertices", self.vertices, 1)
+        if vertices.shape[0] == 0:
+            raise ValueError("vertices must hold at least one point")
+        object.__setattr__(self, "vertices", tuple(vertices.tolist()))
+        object.__setattr__(self, "eigenvalue", _point("eigenvalue", self.eigenvalue))
+        object.__setattr__(self, "epsilon", _real("epsilon", self.epsilon, positive=True))
 
     def to_dict(self, certificate: "PathCertificate | None" = None) -> dict:
         data = payload(self)
@@ -232,14 +237,12 @@ def certify_path(a, path: PolyPath, cfg: RunConfig = DEFAULT_CONFIG) -> PathCert
     at an unproved interval no longer than the slack, and with a
     "min_f_unproved" failure when the next level would bring the total
     past _CERT_SAMPLES_PER_SEGMENT evaluations per segment.  a is a
-    matrix or an Operator, whose ``norm`` gives ||A||_2.  ValueError: no
-    vertices, or epsilon not positive.
+    matrix or an Operator, whose ``norm`` gives ||A||_2; the PolyPath
+    has checked its points and epsilon.
     """
     op = as_operator(a)
-    if not path.vertices:
-        raise ValueError("path must have at least one vertex")
-    verts = np.asarray(path.vertices, dtype=complex)
-    inv_eps = 1.0 / _real("epsilon", path.epsilon, positive=True)
+    verts = np.array(path.vertices)
+    inv_eps = 1.0 / path.epsilon
 
     sigma = sigma_min_batch(op, verts)
     norms = norms_from_sigma(sigma)

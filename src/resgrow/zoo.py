@@ -22,7 +22,7 @@ RANDOM_DENSE_RNG_ID = "numpy-pcg64/standard-normal-pair/sqrt2"
 
 def diagonal_normal(entries) -> np.ndarray:
     """diag(entries) for a non-empty sequence of finite complex scalars."""
-    values = as_vector(entries)
+    values = as_vector(entries, name="entries")
     if values.shape[0] == 0:
         raise ValueError("entries must be a non-empty 1-D sequence")
     return np.diag(values)
@@ -47,7 +47,7 @@ def circulant_weighted_shift_inverse(weights) -> np.ndarray:
     It is used as the resolvent of a shift operator at the origin, so
     every weight must be nonzero and finite for M to be invertible.
     """
-    w = as_vector(weights)
+    w = as_vector(weights, name="weights")
     if w.shape[0] < 2:
         raise ValueError("weights must be a 1-D sequence of length >= 2")
     if np.any(w == 0):

@@ -261,6 +261,17 @@ def test_taylor_validation(diag03, diag_point):
         rg.taylor_remainder_check(diag03, 1.0 + 0j, psi, theta, (0.5, 0.25))
 
 
+def test_probes_at_a_numerically_singular_shift_raise():
+    """On jordan_block(16, 0) at z = 0.1, sigma_min is 9.9e-17 but the
+    spectral distance is 0.1: the probes pass their domain checks and
+    raise NearSingularError, as documented."""
+    a = rg.jordan_block(16, 0.0)
+    with pytest.raises(rg.NearSingularError):
+        rg.local_min_probe(a, 0.1, 0.05)
+    with pytest.raises(rg.NearSingularError):
+        rg.taylor_remainder_check(a, 0.1, np.eye(16)[0], 0.0, (0.01, 0.005))
+
+
 def test_default_taylor_steps():
     steps = rg.default_taylor_steps()
     assert len(steps) == 7

@@ -117,7 +117,7 @@ def test_as_vector_validation():
             "re_min must be a number and finite",
         ),
         (lambda a, point, grid: rg.jordan_block(3, math.inf), "lam must be a complex number"),
-        (lambda a, point, grid: rg.diagonal_normal([math.inf]), "vector entries must be finite"),
+        (lambda a, point, grid: rg.diagonal_normal([math.inf]), "entries entries must be finite"),
         (lambda a, point, grid: rg.find_path(a, math.inf, Z), "epsilon must be positive and finite"),
         # bool is not a number
         (lambda a, point, grid: rg.find_path(a, True, Z), "epsilon must be positive and finite"),
@@ -162,6 +162,80 @@ def test_numpy_scalars_are_accepted():
     np_path, np_cert = rg.find_path(a, np.float64(0.5), np.complex128(Z))
     assert (np_path, np_cert) == (path, cert)
     assert type(np_path.epsilon) is float
+
+
+NAN, INF = complex(math.nan, 0), complex(math.inf, 0)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        # point sets of sigma_min_batch: 1-D and finite
+        (lambda a: rg.sigma_min_batch(a, [NAN]), "zs entries must be finite"),
+        (lambda a: rg.sigma_min_batch(a, [None]), "zs entries must be finite"),
+        (
+            lambda a: rg.sigma_min_batch(rg.random_dense(64, 1), [INF] * 64),
+            "zs entries must be finite",
+        ),
+        (lambda a: rg.sigma_min_batch(a, ["x"]), "zs entries must be numbers"),
+        (lambda a: rg.sigma_min_batch(a, 0.5), "zs must be 1-dimensional"),
+        (
+            lambda a: rg.sigma_min_batch(a, [[0.1, 0.2], [0.3, 0.4]]),
+            "zs must be 1-dimensional",
+        ),
+        # eigenvalues of spectral_distance: also non-empty
+        (lambda a: rg.spectral_distance([NAN], Z), "eigs entries must be finite"),
+        (lambda a: rg.spectral_distance([None], Z), "eigs entries must be finite"),
+        (lambda a: rg.spectral_distance([], Z), "eigs must hold at least one"),
+        # the vector of canonical_phase
+        (lambda a: canonical_phase([math.nan, 1.0]), "v entries must be finite"),
+        (lambda a: canonical_phase([[1.0, 2.0]]), "v must be 1-dimensional"),
+        # a PolyPath checks its points and epsilon at construction
+        (lambda a: rg.PolyPath((NAN, 0j), 0j, 1.0, 0.0), "vertices entries must be finite"),
+        (lambda a: rg.PolyPath((INF, 0j), 0j, 1.0, 0.0), "vertices entries must be finite"),
+        (lambda a: rg.PolyPath((None,), 0j, 1.0, 0.0), "vertices entries must be finite"),
+        (lambda a: rg.PolyPath((), 0j, 1.0, 0.0), "vertices must hold at least one"),
+        (lambda a: rg.PolyPath((Z,), Z, -1.0, 0.0), "epsilon must be positive"),
+        (
+            lambda a: rg.PolyPath((Z, 0j), NAN, 1.0, 0.0),
+            "eigenvalue must be a complex number and finite",
+        ),
+        # vectors are named in every message
+        (lambda a: rg.ShiftedSolver(a, Z).solve([1, 2, 3]), "b has length 3, expected 8"),
+        (
+            lambda a: rg.taylor_remainder_check(a, Z, [1, 2], 0.0, (1e-3, 5e-4)),
+            "psi has length 2, expected 8",
+        ),
+        (lambda a: rg.compute_quantities(a, Z, [math.nan] * 8), "psi entries must be finite"),
+        (
+            lambda a: rg.circulant_weighted_shift_inverse([2, math.inf]),
+            "weights entries must be finite",
+        ),
+    ],
+    ids=[
+        "batch-nan", "batch-none", "batch-inf-schur", "batch-string", "batch-scalar",
+        "batch-2d", "distance-nan", "distance-none", "distance-empty", "phase-nan",
+        "phase-2d", "path-vertex-nan", "path-vertex-inf", "path-vertex-none",
+        "path-no-vertices", "path-epsilon-negative", "path-eigenvalue-nan", "solve-b-length",
+        "taylor-psi-length", "quantities-psi-nan", "shift-weights-inf",
+    ],
+)
+def test_bad_arrays_raise_value_error(call, message):
+    """A matrix, vector or point set whose entries are not finite numbers,
+    or that has the wrong number of dimensions, fails with a ValueError
+    naming the argument, not with a numpy error, a warning, a
+    DecompositionError or a result computed from it."""
+    with pytest.raises(ValueError, match=message):
+        call(rg.random_dense(8, 1))
+
+
+def test_sigma_min_batch_takes_any_sequence():
+    """A list, a tuple and an ndarray of the same points give equal results."""
+    a = rg.random_dense(8, 1)
+    zs = [Z, 0.1 - 2j, 3.0]
+    ref = rg.sigma_min_batch(a, np.array(zs))
+    assert np.array_equal(rg.sigma_min_batch(a, zs), ref)
+    assert np.array_equal(rg.sigma_min_batch(a, tuple(zs)), ref)
 
 
 def test_svd_reconstructs():

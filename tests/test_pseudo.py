@@ -598,6 +598,6 @@ def test_path_to_dict_key_order(diag03):
 
 @pytest.mark.parametrize("epsilon", [0.0, -1.0, float("nan")])
 def test_certify_rejects_nonpositive_epsilon(diag03, epsilon):
-    path = rg.PolyPath((1.0 + 0j, 0j), 0j, epsilon, 0.0)
+    # the PolyPath itself rejects the epsilon, so no path reaches certify_path
     with pytest.raises(ValueError, match="epsilon must be positive"):
-        rg.certify_path(diag03, path)
+        rg.certify_path(diag03, rg.PolyPath((1.0 + 0j, 0j), 0j, epsilon, 0.0))
