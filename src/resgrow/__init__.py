@@ -14,8 +14,6 @@ from .analysis import (
     ResolventPoint,
     analyze_point,
     classify_and_direction,
-    compute_quantities,
-    norm_determining_vector,
     resolvent_norm,
 )
 from .config import DEFAULT_CONFIG, RunConfig, config_from_dict, load_config
@@ -48,7 +46,6 @@ from .linalg import (
     save_matrix,
     shifted_solve,
     sigma_min_batch,
-    smallest_singular_pair,
     spectral_distance,
 )
 from .pseudo import (
@@ -101,7 +98,6 @@ __all__ = [
     "circulant_weighted_shift_inverse",
     "classify_and_direction",
     "components",
-    "compute_quantities",
     "config_from_dict",
     "connectivity_order",
     "default_taylor_steps",
@@ -116,7 +112,6 @@ __all__ = [
     "local_min_probe",
     "matrix_from_dict",
     "matrix_to_dict",
-    "norm_determining_vector",
     "operator_from_inverse",
     "random_dense",
     "resolvent_norm",
@@ -125,7 +120,6 @@ __all__ = [
     "save_matrix",
     "shifted_solve",
     "sigma_min_batch",
-    "smallest_singular_pair",
     "spectral_distance",
     "taylor_remainder_check",
     "verify_growth_bound",

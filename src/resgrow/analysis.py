@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_CONFIG, RunConfig
-from .linalg import ShiftedSolver, as_operator, as_vector, canonical_phase, spectral_distance
+from .linalg import ShiftedSolver, as_operator, canonical_phase, spectral_distance
 from .serialize import payload
 
 
@@ -74,16 +74,6 @@ def resolvent_norm(a, z: complex, cfg: RunConfig = DEFAULT_CONFIG) -> float:
     return ShiftedSolver(a, z, cfg).norm
 
 
-def norm_determining_vector(a, z: complex, cfg: RunConfig = DEFAULT_CONFIG) -> np.ndarray:
-    """Unit psi with ||R psi|| = ||R||, under the canonical phase convention.
-
-    This is the left singular vector of A - zI for the smallest
-    singular value: with M = U S V*, R*R = U S^-2 U*, so the smallest
-    singular vector of M maximizes ||R . ||.
-    """
-    return ShiftedSolver(a, z, cfg).min_left_vector()
-
-
 def _angle(x: complex) -> float:
     """Argument normalized to (-pi, pi] (np.angle can return -pi)."""
     t = float(np.angle(x))
@@ -106,15 +96,6 @@ def _growth_quantities(
     beta = float(np.vdot(w2, w2).real)
     gamma = complex(np.vdot(w1, w3))
     return alpha, beta, gamma, float(np.vdot(w1, w1).real)
-
-
-def compute_quantities(
-    a, z: complex, psi, cfg: RunConfig = DEFAULT_CONFIG
-) -> tuple[complex, float, complex]:
-    """(alpha, beta, gamma) at z for a given unit vector psi."""
-    solver = ShiftedSolver(a, z, cfg)
-    psi = as_vector(psi, solver.matrix.shape[0], "psi")
-    return _growth_quantities(solver, psi)[:3]
 
 
 def classify_and_direction(

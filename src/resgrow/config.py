@@ -16,7 +16,19 @@ import numbers
 from dataclasses import dataclass
 
 # The scalar argument rule of the package: each helper returns the value
-# converted or raises ValueError naming it.  bool is not a number.
+# converted or raises ValueError naming it.  bool is not a number, and an
+# integer too large for a float is not finite.
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Complex) and not isinstance(value, bool)
+
+
+def _finite(value) -> bool:
+    try:
+        return cmath.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def _integer(name: str, value, low: int) -> int:
@@ -27,7 +39,7 @@ def _integer(name: str, value, low: int) -> int:
 
 def _real(name: str, value, low: float = -math.inf, positive: bool = False) -> float:
     """A finite real >= low, or > 0 when positive."""
-    ok = not isinstance(value, bool) and isinstance(value, numbers.Real) and math.isfinite(value)
+    ok = isinstance(value, numbers.Real) and _is_number(value) and _finite(value)
     if not (ok and (value > 0 if positive else value >= low)):
         what = "positive" if positive else "a number" + (f" >= {low}" if low > -math.inf else "")
         raise ValueError(f"{name} must be {what} and finite, got {value!r}")
@@ -35,7 +47,7 @@ def _real(name: str, value, low: float = -math.inf, positive: bool = False) -> f
 
 
 def _point(name: str, value) -> complex:
-    if isinstance(value, bool) or not isinstance(value, numbers.Complex) or not cmath.isfinite(value):
+    if not (_is_number(value) and _finite(value)):
         raise ValueError(f"{name} must be a complex number and finite, got {value!r}")
     return complex(value)
 

@@ -20,46 +20,50 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import DEFAULT_CONFIG, RunConfig, _integer, _point
+from .config import DEFAULT_CONFIG, RunConfig, _finite, _integer, _is_number, _point
 from .errors import DecompositionError, NearSingularError
 from .serialize import dumps, payload
 
 # Relative tolerance for treating trailing singular values as tied with
-# the smallest one.  Deliberately far below the accuracy contract of
-# norm_determining_vector (1e-9) so picking the first vector of a tied
-# block can never violate it; exact ties (e.g. the identity) still
-# resolve to the lowest index.
+# the smallest one.  Deliberately far below the 1e-9 to which tests hold
+# ||R psi|| = ||R|| for psi = ShiftedSolver.min_left_vector(), so picking
+# the first vector of a tied block can never break it; exact ties (e.g.
+# the identity) still resolve to the lowest index.
 _TIE_REL = 1e-12
 
 
-def _complex_array(name: str, obj, ndim: int) -> np.ndarray:
+def _complex_array(name: str, obj, ndim: int, low: int = 1) -> np.ndarray:
     """The array rule of the package: obj as a complex array of ndim
-    dimensions whose entries are finite numbers, or ValueError naming it."""
-    try:
-        a = np.asarray(obj, dtype=complex)
-    except (TypeError, ValueError) as exc:  # entries that are not numbers
-        raise ValueError(f"{name} entries must be numbers: {exc}") from None
+    dimensions with at least low entries, each a finite number as
+    ``config._point`` defines it, or ValueError naming it.  An ndarray of
+    integer, float or complex dtype is checked by its dtype, any other
+    input (lists, tuples, object, bool or str arrays) entry by entry."""
+    by_dtype = isinstance(obj, np.ndarray) and obj.dtype.kind in "iufc"
+    a = np.asarray(obj, dtype=complex if by_dtype else object)
+    if not (by_dtype or all(map(_is_number, a.flat))):
+        raise ValueError(f"{name} entries must be numbers")
     if a.ndim != ndim:
         raise ValueError(f"{name} must be {ndim}-dimensional, got shape {a.shape}")
-    if not np.isfinite(a).all():
+    if a.size < low:
+        raise ValueError(f"{name} has {a.size} entries, needs at least {low}")
+    if not (np.isfinite(a).all() if by_dtype else all(map(_finite, a.flat))):
         raise ValueError(f"{name} entries must be finite")
-    return a
+    return a if by_dtype else a.astype(complex)
 
 
 def as_matrix(obj) -> np.ndarray:
     """Validate and return a square complex matrix.
 
-    Accepts anything ``np.asarray`` does, and an Operator, whose
+    Accepts a nested sequence or an array of numbers, and an Operator, whose
     read-only ``matrix`` is returned as it is.  Raises ValueError on
-    empty or non-square shapes and on entries that are not finite numbers.
+    empty or non-square shapes and on entries that are not finite numbers
+    (``bool`` and strings are not numbers).
     """
     if isinstance(obj, Operator):
         return obj.matrix
     a = _complex_array("matrix", obj, 2)
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"matrix must be square, got shape {a.shape}")
-    if a.shape[0] == 0:
-        raise ValueError("empty matrices are not supported (n must be >= 1)")
     return a
 
 
@@ -110,7 +114,8 @@ def canonical_phase(v: np.ndarray) -> np.ndarray:
 
     This is the deterministic phase convention used for every reported
     singular vector: unit vectors that differ only by a global phase
-    map to the same representative.
+    map to the same representative.  ValueError unless v is a non-empty,
+    nonzero 1-D vector of finite numbers.
     """
     v = _complex_array("v", v, 1)
     i = int(np.argmax(np.abs(v)))
@@ -118,28 +123,6 @@ def canonical_phase(v: np.ndarray) -> np.ndarray:
     if mag == 0.0:
         raise ValueError("cannot fix the phase of a zero vector")
     return v * (v[i].conjugate() / mag)
-
-
-def _min_left_vector(dec: SvdResult) -> np.ndarray:
-    """Left singular vector for the smallest singular value.
-
-    When trailing values tie with the smallest (relative gap below
-    ``_TIE_REL``), the first vector of the tied block is chosen so the
-    result is deterministic; for the identity this yields e_0.
-    """
-    s = dec.values
-    tied = np.flatnonzero(s <= s[-1] * (1.0 + _TIE_REL))
-    return canonical_phase(dec.left[:, int(tied[0])])
-
-
-def smallest_singular_pair(m, cfg: RunConfig = DEFAULT_CONFIG) -> tuple[float, np.ndarray]:
-    """Smallest singular value of M and a unit left singular vector for it.
-
-    The vector follows the canonical phase convention; see
-    ``_min_left_vector`` for the tie rule on degenerate bottom spaces.
-    """
-    dec = svd(m, cfg)
-    return float(dec.values[-1]), _min_left_vector(dec)
 
 
 def eigenvalues(m) -> np.ndarray:
@@ -160,8 +143,6 @@ def eigenvalues(m) -> np.ndarray:
 def spectral_distance(eigs: np.ndarray, z: complex) -> float:
     """Distance from z to eigs, a non-empty 1-D array (ValueError unless all are finite)."""
     eigs = _complex_array("eigs", eigs, 1)
-    if eigs.shape[0] == 0:
-        raise ValueError("eigs must hold at least one eigenvalue")
     return float(np.min(np.abs(eigs - _point("z", z))))
 
 
@@ -237,7 +218,13 @@ class ShiftedSolver:
         return 1.0 / self.sigma_min
 
     def min_left_vector(self) -> np.ndarray:
-        return _min_left_vector(self.decomposition)
+        """Unit psi with ||R psi|| = ||R||: the left singular vector of A - zI
+        for sigma_min, phase-fixed by ``canonical_phase``.  Of a tied bottom
+        block (relative gap below ``_TIE_REL``) the first vector is taken,
+        so the identity yields e_0."""
+        s = self.decomposition.values
+        tied = np.flatnonzero(s <= s[-1] * (1.0 + _TIE_REL))
+        return canonical_phase(self.decomposition.left[:, int(tied[0])])
 
     def degenerate(self) -> bool:
         """True when the two largest singular values of the resolvent
@@ -277,7 +264,8 @@ def shifted_solve(a, z: complex, b, cfg: RunConfig = DEFAULT_CONFIG) -> np.ndarr
 def sigma_min_batch(a, zs) -> np.ndarray:
     """Smallest singular value of A - zI for every z in a 1-D array zs.
 
-    A is a matrix or an Operator; ValueError unless zs is 1-D and finite.
+    A is a matrix or an Operator; ValueError unless zs is 1-D and its
+    entries are finite numbers.  zs may be empty.
     Fewer than ``_SCHUR_MIN_POINTS`` points, or n < ``_SCHUR_MIN_N``: one
     batched SVD of the shifted matrices per chunk, the accuracy
     reference.  Otherwise the route reads the complex Schur form
@@ -295,7 +283,7 @@ def sigma_min_batch(a, zs) -> np.ndarray:
     t_ii).  Chunks keep temporaries below about ``_CHUNK_BYTES``.
     """
     m = as_matrix(a)
-    zs = _complex_array("zs", zs, 1)
+    zs = _complex_array("zs", zs, 1, low=0)
     n = m.shape[0]
     chunk = max(1, _CHUNK_BYTES // (16 * n * n))
     if n >= _SCHUR_MIN_N and zs.shape[0] >= _SCHUR_MIN_POINTS:
@@ -441,18 +429,12 @@ def matrix_from_dict(data) -> np.ndarray:
     if set(data.keys()) != {"n", "entries"}:
         raise ValueError('matrix payload must have exactly the keys "n" and "entries"')
     n = _integer('"n"', data["n"], 1)
-    entries = data["entries"]
-    if not isinstance(entries, list) or len(entries) != n * n:
-        raise ValueError(f'"entries" must hold exactly n*n = {n * n} pairs')
+    pairs = _complex_array('"entries"', data["entries"], 2)
+    if pairs.shape != (n * n, 2) or pairs.imag.any():
+        raise ValueError(f'"entries" must hold exactly n*n = {n * n} [re, im] pairs of reals')
     values = np.empty(n * n, dtype=complex)
-    for k, pair in enumerate(entries):
-        if (
-            not isinstance(pair, list)
-            or len(pair) != 2
-            or any(isinstance(p, bool) or not isinstance(p, (int, float)) for p in pair)
-        ):
-            raise ValueError(f"entry {k} is not a [re, im] pair of numbers")
-        values[k] = complex(pair[0], pair[1])
+    # assigned by part, so signed zeros survive
+    values.real, values.imag = pairs.real.T
     return as_matrix(values.reshape(n, n))
 
 

@@ -183,8 +183,6 @@ class PolyPath:
 
     def __post_init__(self):
         vertices = _complex_array("vertices", self.vertices, 1)
-        if vertices.shape[0] == 0:
-            raise ValueError("vertices must hold at least one point")
         object.__setattr__(self, "vertices", tuple(vertices.tolist()))
         object.__setattr__(self, "eigenvalue", _point("eigenvalue", self.eigenvalue))
         object.__setattr__(self, "epsilon", _real("epsilon", self.epsilon, positive=True))

@@ -13,7 +13,7 @@ import numpy as np
 
 from .config import DEFAULT_CONFIG, RunConfig, _integer, _point
 from .errors import DecompositionError, NearSingularError
-from .linalg import as_matrix, as_vector
+from .linalg import _complex_array, as_matrix
 
 # the seeded generator behind random_dense, recorded in CLI metadata so
 # outputs can be reproduced elsewhere
@@ -22,10 +22,7 @@ RANDOM_DENSE_RNG_ID = "numpy-pcg64/standard-normal-pair/sqrt2"
 
 def diagonal_normal(entries) -> np.ndarray:
     """diag(entries) for a non-empty sequence of finite complex scalars."""
-    values = as_vector(entries, name="entries")
-    if values.shape[0] == 0:
-        raise ValueError("entries must be a non-empty 1-D sequence")
-    return np.diag(values)
+    return np.diag(_complex_array("entries", entries, 1))
 
 
 def zigzag_diagonal(n: int) -> np.ndarray:
@@ -45,11 +42,10 @@ def circulant_weighted_shift_inverse(weights) -> np.ndarray:
 
     M acts as a weighted cyclic shift: (M x)_j = weights[j] * x_{j-1}.
     It is used as the resolvent of a shift operator at the origin, so
-    every weight must be nonzero and finite for M to be invertible.
+    every weight must be nonzero and finite for M to be invertible, and
+    there must be at least two.
     """
-    w = as_vector(weights, name="weights")
-    if w.shape[0] < 2:
-        raise ValueError("weights must be a 1-D sequence of length >= 2")
+    w = _complex_array("weights", weights, 1, low=2)
     if np.any(w == 0):
         raise ValueError("all weights must be nonzero")
     n = w.shape[0]

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import resgrow as rg
-from resgrow.analysis import _angle, classify_and_direction
+from resgrow.analysis import _angle, _growth_quantities, classify_and_direction
 
 
 def random_matrix(rng, n):
@@ -17,12 +17,12 @@ def test_resolvent_norm_normal_matrix(diag03):
 
 
 def test_norm_determining_vector_maximizes(diag03):
-    psi = rg.norm_determining_vector(diag03, 1.0 + 0j)
+    psi = rg.ShiftedSolver(diag03, 1.0 + 0j).min_left_vector()
     assert np.allclose(psi, [1.0, 0.0])
     rng = np.random.default_rng(43)
     a = random_matrix(rng, 6)
     z = 0.3 + 0.2j
-    psi = rg.norm_determining_vector(a, z)
+    psi = rg.ShiftedSolver(a, z).min_left_vector()
     r_psi = rg.shifted_solve(a, z, psi)
     assert np.linalg.norm(r_psi) == pytest.approx(rg.resolvent_norm(a, z), rel=1e-9)
 
@@ -91,9 +91,10 @@ def test_classify_thresholds():
 
 
 def test_quantities_phase_invariant(shift2):
-    psi = rg.norm_determining_vector(shift2, 0j)
-    base = rg.compute_quantities(shift2, 0j, psi)
-    rotated = rg.compute_quantities(shift2, 0j, psi * np.exp(0.77j))
+    solver = rg.ShiftedSolver(shift2, 0j)
+    psi = solver.min_left_vector()
+    base = _growth_quantities(solver, psi)[:3]
+    rotated = _growth_quantities(solver, psi * np.exp(0.77j))[:3]
     for x, y in zip(base, rotated):
         assert abs(x - y) <= 1e-12
 

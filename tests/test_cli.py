@@ -72,6 +72,19 @@ def test_malformed_inputs_exit_2(capsys, diag_file, tmp_path):
     capsys.readouterr()
 
 
+def test_integer_too_large_for_a_float_exits_2(capsys, diag_file, tmp_path):
+    """A 400-digit integer in a config or matrix file is not finite: a
+    usage error, not a traceback."""
+    huge = "9" * 400
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(f'{{"tol_svd": {huge}}}')
+    assert main(["analyze", diag_file, "--z", "1,0", "--config", str(cfg)]) == 2
+    matrix = tmp_path / "m.json"
+    matrix.write_text(f'{{"n": 1, "entries": [[{huge}, 0]]}}')
+    assert main(["analyze", str(matrix), "--z", "1,0"]) == 2
+    assert capsys.readouterr().err.count("resgrow: error:") == 2
+
+
 def test_near_singular_exit_3(capsys, diag_file):
     code, out = run(capsys, "analyze", diag_file, "--z", "3,0")
     assert code == 3

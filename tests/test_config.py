@@ -73,6 +73,13 @@ def test_from_dict_type_checks():
     assert isinstance(RunConfig(tol_svd=1).tol_svd, float)
 
 
+def test_integer_too_large_for_a_float_is_not_finite():
+    with pytest.raises(ValueError, match="tol_svd' must be a number >= 0.0 and finite"):
+        RunConfig(tol_svd=10**400)
+    with pytest.raises(ValueError, match="must be a number >= 0.0 and finite"):
+        config_from_dict({"tol_zero": -(10**400)})
+
+
 def test_load_config_roundtrip(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text('{"max_halvings": 7, "tol_eig": 1e-6}')

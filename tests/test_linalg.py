@@ -1,5 +1,6 @@
 import json
 import math
+from decimal import Decimal
 from unittest import mock
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 import resgrow as rg
 from resgrow import linalg
+from resgrow.config import _point
 from resgrow.linalg import (
     as_matrix,
     as_vector,
@@ -121,6 +123,15 @@ def test_as_vector_validation():
         (lambda a, point, grid: rg.find_path(a, math.inf, Z), "epsilon must be positive and finite"),
         # bool is not a number
         (lambda a, point, grid: rg.find_path(a, True, Z), "epsilon must be positive and finite"),
+        # an integer too large for a float is not finite
+        (
+            lambda a, point, grid: rg.analyze_point(a, 10**400),
+            "z must be a complex number and finite",
+        ),
+        (
+            lambda a, point, grid: rg.find_path(a, 10**400, Z),
+            "epsilon must be positive and finite",
+        ),
     ],
     ids=[
         "analyze-z", "path-z", "path-epsilon", "localmin-r0", "grid-nx", "segment-a0",
@@ -130,7 +141,7 @@ def test_as_vector_validation():
         "jordan-n-none", "jordan-n-fraction", "random-n-none", "random-n-fraction",
         "random-seed", "analyze-z-inf", "path-z-nan", "localmin-z-nan", "taylor-z-inf",
         "segment-direction-nan", "grid-bound-inf", "jordan-lam-inf", "diagonal-inf",
-        "path-epsilon-inf", "path-epsilon-bool",
+        "path-epsilon-inf", "path-epsilon-bool", "analyze-z-huge-int", "path-epsilon-huge-int",
     ],
 )
 def test_non_number_scalars_raise_value_error(call, message):
@@ -172,7 +183,7 @@ NAN, INF = complex(math.nan, 0), complex(math.inf, 0)
     [
         # point sets of sigma_min_batch: 1-D and finite
         (lambda a: rg.sigma_min_batch(a, [NAN]), "zs entries must be finite"),
-        (lambda a: rg.sigma_min_batch(a, [None]), "zs entries must be finite"),
+        (lambda a: rg.sigma_min_batch(a, [None]), "zs entries must be numbers"),
         (
             lambda a: rg.sigma_min_batch(rg.random_dense(64, 1), [INF] * 64),
             "zs entries must be finite",
@@ -185,16 +196,16 @@ NAN, INF = complex(math.nan, 0), complex(math.inf, 0)
         ),
         # eigenvalues of spectral_distance: also non-empty
         (lambda a: rg.spectral_distance([NAN], Z), "eigs entries must be finite"),
-        (lambda a: rg.spectral_distance([None], Z), "eigs entries must be finite"),
-        (lambda a: rg.spectral_distance([], Z), "eigs must hold at least one"),
+        (lambda a: rg.spectral_distance([None], Z), "eigs entries must be numbers"),
+        (lambda a: rg.spectral_distance([], Z), "eigs has 0 entries, needs at least 1"),
         # the vector of canonical_phase
         (lambda a: canonical_phase([math.nan, 1.0]), "v entries must be finite"),
         (lambda a: canonical_phase([[1.0, 2.0]]), "v must be 1-dimensional"),
         # a PolyPath checks its points and epsilon at construction
         (lambda a: rg.PolyPath((NAN, 0j), 0j, 1.0, 0.0), "vertices entries must be finite"),
         (lambda a: rg.PolyPath((INF, 0j), 0j, 1.0, 0.0), "vertices entries must be finite"),
-        (lambda a: rg.PolyPath((None,), 0j, 1.0, 0.0), "vertices entries must be finite"),
-        (lambda a: rg.PolyPath((), 0j, 1.0, 0.0), "vertices must hold at least one"),
+        (lambda a: rg.PolyPath((None,), 0j, 1.0, 0.0), "vertices entries must be numbers"),
+        (lambda a: rg.PolyPath((), 0j, 1.0, 0.0), "vertices has 0 entries, needs at least 1"),
         (lambda a: rg.PolyPath((Z,), Z, -1.0, 0.0), "epsilon must be positive"),
         (
             lambda a: rg.PolyPath((Z, 0j), NAN, 1.0, 0.0),
@@ -206,10 +217,26 @@ NAN, INF = complex(math.nan, 0), complex(math.inf, 0)
             lambda a: rg.taylor_remainder_check(a, Z, [1, 2], 0.0, (1e-3, 5e-4)),
             "psi has length 2, expected 8",
         ),
-        (lambda a: rg.compute_quantities(a, Z, [math.nan] * 8), "psi entries must be finite"),
+        (
+            lambda a: rg.taylor_remainder_check(a, Z, [math.nan] * 8, 0.0, (1e-3, 5e-4)),
+            "psi entries must be finite",
+        ),
         (
             lambda a: rg.circulant_weighted_shift_inverse([2, math.inf]),
             "weights entries must be finite",
+        ),
+        # bool and strings are not numbers, as for scalar arguments
+        (lambda a: rg.sigma_min_batch(a, [True]), "zs entries must be numbers"),
+        (lambda a: rg.sigma_min_batch(a, ["0.5"]), "zs entries must be numbers"),
+        (lambda a: rg.PolyPath((True, 0j), 0j, 1.0, 0.0), "vertices entries must be numbers"),
+        (lambda a: rg.Operator(np.eye(2, dtype=bool)), "matrix entries must be numbers"),
+        # an integer too large for a float is not finite
+        (lambda a: rg.sigma_min_batch(a, [10**400]), "zs entries must be finite"),
+        # every array must hold an entry, weights two
+        (lambda a: canonical_phase([]), "v has 0 entries, needs at least 1"),
+        (
+            lambda a: rg.circulant_weighted_shift_inverse([2]),
+            "weights has 1 entries, needs at least 2",
         ),
     ],
     ids=[
@@ -217,7 +244,9 @@ NAN, INF = complex(math.nan, 0), complex(math.inf, 0)
         "batch-2d", "distance-nan", "distance-none", "distance-empty", "phase-nan",
         "phase-2d", "path-vertex-nan", "path-vertex-inf", "path-vertex-none",
         "path-no-vertices", "path-epsilon-negative", "path-eigenvalue-nan", "solve-b-length",
-        "taylor-psi-length", "quantities-psi-nan", "shift-weights-inf",
+        "taylor-psi-length", "quantities-psi-nan", "shift-weights-inf", "batch-bool",
+        "batch-numeric-string", "path-vertex-bool", "matrix-bool-dtype", "batch-huge-int",
+        "phase-empty", "shift-one-weight",
     ],
 )
 def test_bad_arrays_raise_value_error(call, message):
@@ -236,6 +265,36 @@ def test_sigma_min_batch_takes_any_sequence():
     ref = rg.sigma_min_batch(a, np.array(zs))
     assert np.array_equal(rg.sigma_min_batch(a, zs), ref)
     assert np.array_equal(rg.sigma_min_batch(a, tuple(zs)), ref)
+
+
+_ENTRIES = st.one_of(
+    st.integers(),
+    st.integers(10**300, 10**400).flatmap(lambda k: st.sampled_from([k, -k])),
+    st.floats(),
+    st.complex_numbers(),
+    st.sampled_from([True, False, np.True_, None, "0.5", b"0.5", 10**400, Decimal("0.5")]),
+    st.fractions(),
+    st.decimals(),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.floats(width=32).map(np.float32),
+    st.floats().map(np.float64),
+    st.complex_numbers(width=64).map(np.complex64),
+    st.complex_numbers().map(np.complex128),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(x=_ENTRIES)
+def test_array_and_scalar_rules_agree_on_numbers(x):
+    """The array rule takes an entry exactly when the scalar rule takes
+    it as a point, and gives the same complex value, bit for bit."""
+    try:
+        expected = _point("x", x)
+    except ValueError:
+        with pytest.raises(ValueError, match="x entries must be"):
+            linalg._complex_array("x", [x], 1)
+        return
+    assert linalg._complex_array("x", [x], 1).tobytes() == np.array([expected]).tobytes()
 
 
 def test_svd_reconstructs():
@@ -270,17 +329,23 @@ def test_canonical_phase():
         canonical_phase(np.zeros(3, dtype=complex))
 
 
+def _smallest_pair(m):
+    """sigma_min of m and its phase-fixed left singular vector."""
+    solver = rg.ShiftedSolver(m, 0j)
+    return solver.sigma_min, solver.min_left_vector()
+
+
 def test_smallest_singular_pair_identity_tie_rule():
-    s, psi = rg.smallest_singular_pair(np.eye(4, dtype=complex))
+    s, psi = _smallest_pair(np.eye(4, dtype=complex))
     assert s == pytest.approx(1.0)
     assert np.allclose(psi, np.eye(4)[0])
 
 
 def test_smallest_singular_pair_known_vectors():
-    s, u = rg.smallest_singular_pair(np.diag([-1.0, 2.0]))
+    s, u = _smallest_pair(np.diag([-1.0, 2.0]))
     assert s == pytest.approx(1.0)
     assert np.allclose(u, [1.0, 0.0])
-    s, u = rg.smallest_singular_pair(np.array([[0.0, 2.0], [1.0, 0.0]]))
+    s, u = _smallest_pair(np.array([[0.0, 2.0], [1.0, 0.0]]))
     assert s == pytest.approx(1.0)
     assert np.allclose(u, [0.0, 1.0])
 
@@ -289,7 +354,7 @@ def test_smallest_singular_pair_matches_definition():
     rng = np.random.default_rng(21)
     for _ in range(20):
         a = random_matrix(rng, 6)
-        s, psi = rg.smallest_singular_pair(a)
+        s, psi = _smallest_pair(a)
         assert np.linalg.norm(psi) == pytest.approx(1.0, rel=1e-12)
         # psi is a left singular vector: ||M* psi|| = sigma_min
         assert np.linalg.norm(a.conj().T @ psi) == pytest.approx(s, rel=1e-9, abs=1e-12)
@@ -301,7 +366,7 @@ def test_shifted_jordan_sigma_min_closed_form():
     # characteristic polynomial s^2 - 3 s + 1, so sigma_min is the
     # square root of (3 - sqrt 5)/2, the inverse golden ratio.
     m = rg.jordan_block(2, 0.0) - np.eye(2)
-    s, _ = rg.smallest_singular_pair(m)
+    s, _ = _smallest_pair(m)
     golden = (1.0 + np.sqrt(5.0)) / 2.0
     assert s == pytest.approx(1.0 / golden, rel=1e-14)
     roots = np.roots([1.0, -3.0, 1.0])
@@ -514,6 +579,9 @@ def test_matrix_dict_roundtrip():
     a = random_matrix(rng, 4)
     b = rg.matrix_from_dict(rg.matrix_to_dict(a))
     assert np.array_equal(a, b)
+    # signed zeros survive
+    a = np.array([[-0.0, complex(0.0, -0.0)], [complex(-0.0, -0.0), 1.0]])
+    assert rg.matrix_from_dict(rg.matrix_to_dict(a)).tobytes() == a.tobytes()
 
 
 def test_matrix_from_dict_rejects_malformed():

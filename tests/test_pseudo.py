@@ -333,6 +333,8 @@ def _reference_line_search(a, x, direction, fx, cap, floor, cfg):
 @example(n=1, seed=485742, turn=1.54, cap_frac=1.27, floor_frac=0.51, max_halvings=5, s_seg=15)
 @example(n=6, seed=284547, turn=1.57, cap_frac=0.48, floor_frac=0.74, max_halvings=6, s_seg=16)
 @example(n=1, seed=15177, turn=-1.57, cap_frac=0.72, floor_frac=0.99, max_halvings=7, s_seg=15)
+# s_seg = 2 leaves no interior samples: the floor check evaluates an empty batch
+@example(n=2, seed=1, turn=0.0, cap_frac=0.5, floor_frac=0.9, max_halvings=3, s_seg=2)
 def test_line_search_matches_ladder(n, seed, turn, cap_frac, floor_frac, max_halvings, s_seg):
     """The one-pass step scan returns exactly the ladder search's step.
 

@@ -8,14 +8,20 @@ import numpy as np
 
 import resgrow as rg
 
-TOOLS = Path(__file__).resolve().parent.parent / "tools"
+ROOT = Path(__file__).resolve().parent.parent
+TOOLS = ROOT / "tools"
 
 
-def _load_tool(name: str):
-    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+def _load_tool(name: str, folder: Path = TOOLS):
+    spec = importlib.util.spec_from_file_location(name, folder / f"{name}.py")
     tool = importlib.util.module_from_spec(spec)
-    # a tool pins the BLAS threads and extends sys.path when imported
-    with mock.patch.dict(os.environ), mock.patch.object(sys, "path", list(sys.path)):
+    # a tool pins the BLAS threads and extends sys.path when imported;
+    # dataclasses look their module up in sys.modules while it runs
+    with (
+        mock.patch.dict(os.environ),
+        mock.patch.object(sys, "path", list(sys.path)),
+        mock.patch.dict(sys.modules, {name: tool}),
+    ):
         spec.loader.exec_module(tool)
     return tool
 
@@ -43,3 +49,11 @@ def test_payload_hashes_cli_group_is_deterministic(tmp_path, monkeypatch):
     # bound (4) and a search failure (5) are covered
     assert sorted(set(codes)) == ["0", "2", "3", "4", "5"]
     assert os.getcwd() == str(tmp_path) and not os.listdir(tmp_path)
+
+
+def test_bench_tracer_targets_resolve():
+    """The benchmark's tracer looks up each of its targets by module and
+    name, so renaming or deleting one must break a test here."""
+    tracing = _load_tool("tracing", ROOT / "bench")
+    for module, attr, _ in tracing.TARGETS.values():
+        assert callable(getattr(importlib.import_module(module), attr, None)), (module, attr)
