@@ -333,7 +333,8 @@ def taylor_remainder_check(
             theta0), or steps not positive and strictly decreasing, or
             fewer than two of them, or psi not a finite vector of length n.
         DomainError: largest step at or beyond half the spectral distance.
-        NearSingularError: sigma_min(A - zI) <= cfg.tol_singular.
+        NearSingularError: sigma_min(A - uI) <= cfg.tol_singular at u = z
+            or at a step point u = z + w, which the domain check can miss.
     """
     op = as_operator(a)
     z, theta0 = _point("z", z), _real("theta0", theta0)

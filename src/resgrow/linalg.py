@@ -280,60 +280,52 @@ def sigma_min_batch(a, zs) -> np.ndarray:
     are redone by the SVD.  Only this route imports scipy.
 
     Never raises on singularity: exact hits store 0 (in Lanczos, z = some
-    t_ii).  Chunks keep temporaries below about ``_CHUNK_BYTES``.
+    t_ii).  One loop hands either route chunks of points whose temporaries
+    stay below about ``_CHUNK_BYTES``.
     """
-    m = as_matrix(a)
+    op = as_operator(a)
     zs = _complex_array("zs", zs, 1, low=0)
-    n = m.shape[0]
+    n = op.matrix.shape[0]
+    t = op.schur if n >= _SCHUR_MIN_N and zs.shape[0] >= _SCHUR_MIN_POINTS else None
     chunk = max(1, _CHUNK_BYTES // (16 * n * n))
-    if n >= _SCHUR_MIN_N and zs.shape[0] >= _SCHUR_MIN_POINTS:
-        return _sigma_min_schur(as_operator(a), zs, chunk)
-    return _sigma_min_svd(m, zs, chunk)
+    out = np.empty(zs.shape[0], dtype=float)
+    for start in range(0, zs.shape[0], chunk):
+        zz = zs[start : start + chunk]
+        if t is None:
+            out[start : start + chunk] = _sigma_min_svd(op.matrix, zz)
+        else:
+            out[start : start + chunk] = _sigma_min_schur(t, op.matrix, zz)
+    return out
 
 
 # Below either size the batched SVD is faster (tools/sigma_min_crossover.py);
 # then the Ritz value settling tolerance, the Lanczos step cap before the
-# SVD takes over, the block size where triangular solves stop splitting,
-# and the bound on the temporaries of one chunk of points.
+# SVD takes over, and the bound on the temporaries of one chunk of points.
 _SCHUR_MIN_N = 48
 _SCHUR_MIN_POINTS = 64
 _LANCZOS_REL = 1e-14
 _LANCZOS_MAX_ITER = 24
-_LEAF_ROWS = 16
 _CHUNK_BYTES = 1 << 26
 
 
-def _sigma_min_schur(op: Operator, zs: np.ndarray, chunk: int) -> np.ndarray:
-    t = op.schur
-    if t is None:
-        return _sigma_min_svd(op.matrix, zs, chunk)
+def _sigma_min_schur(t: np.ndarray, a: np.ndarray, zs: np.ndarray) -> np.ndarray:
     off = np.linalg.norm(np.triu(t, 1))
-    out = np.empty(zs.shape[0], dtype=float)
-    for start in range(0, zs.shape[0], chunk):
-        zz = zs[start : start + chunk]
-        if off <= t.shape[0] * np.finfo(float).eps * np.linalg.norm(t):
-            out[start : start + chunk] = np.abs(np.diagonal(t)[:, None] - zz).min(axis=0) + off
-        else:
-            out[start : start + chunk] = _inverse_lanczos(t, zz)
+    if off <= t.shape[0] * np.finfo(float).eps * np.linalg.norm(t):
+        return np.abs(np.diagonal(t)[:, None] - zs).min(axis=0) + off
+    out = _inverse_lanczos(t, zs)
     redo = np.isnan(out)
-    out[redo] = _sigma_min_svd(op.matrix, zs[redo], chunk)
+    if redo.any():
+        out[redo] = _sigma_min_svd(a, zs[redo])
     return out
 
 
 def _solve_upper(t: np.ndarray, dg: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve (T - z_p I) x_p = b_p for every column p, with T upper
-    triangular and dg[i, p] = t_ii - z_p.  Off-diagonal blocks do not
-    depend on z, so each is one shared product."""
-    n = t.shape[0]
-    if n <= _LEAF_ROWS:
-        x = np.empty_like(b)
-        for i in range(n - 1, -1, -1):
-            x[i] = (b[i] - t[i, i + 1 :] @ x[i + 1 :]) / dg[i]
-        return x
-    h = n // 2
-    x2 = _solve_upper(t[h:, h:], dg[h:], b[h:])
-    x1 = _solve_upper(t[:h, :h], dg[:h], b[:h] - t[:h, h:] @ x2)
-    return np.concatenate((x1, x2))
+    """Solve (T - z_p I) x_p = b_p for every column p by back substitution,
+    with T upper triangular and dg[i, p] = t_ii - z_p."""
+    x = np.empty_like(b)
+    for i in range(t.shape[0] - 1, -1, -1):
+        x[i] = (b[i] - t[i, i + 1 :] @ x[i + 1 :]) / dg[i]
+    return x
 
 
 def _inverse_lanczos(t: np.ndarray, zs: np.ndarray) -> np.ndarray:
@@ -376,29 +368,20 @@ def _inverse_lanczos(t: np.ndarray, zs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _sigma_min_svd(a: np.ndarray, zs: np.ndarray, chunk: int) -> np.ndarray:
-    n = a.shape[0]
-    out = np.empty(zs.shape[0], dtype=float)
-    eye = np.eye(n)
-    for start in range(0, zs.shape[0], chunk):
-        zz = zs[start : start + chunk]
-        stack = a[None, :, :] - zz[:, None, None] * eye[None, :, :]
-        try:
-            vals = np.linalg.svd(stack, compute_uv=False)
-        except np.linalg.LinAlgError:
-            # batched driver failed somewhere in the chunk; fall back
-            # to one matrix at a time so a single bad shift cannot
-            # poison its neighbors
-            vals = np.empty((zz.shape[0], n))
-            for k in range(zz.shape[0]):
-                try:
-                    vals[k] = np.linalg.svd(stack[k], compute_uv=False)
-                except np.linalg.LinAlgError as exc:
-                    raise DecompositionError(
-                        f"SVD failed to converge at z={zz[k]}: {exc}"
-                    ) from exc
-        out[start : start + chunk] = vals[:, -1]
-    return out
+def _sigma_min_svd(a: np.ndarray, zs: np.ndarray) -> np.ndarray:
+    stack = a - zs[:, None, None] * np.eye(a.shape[0])
+    try:
+        return np.linalg.svd(stack, compute_uv=False)[:, -1]
+    except np.linalg.LinAlgError:
+        # the batched driver failed somewhere in the batch; go one matrix
+        # at a time so a single bad shift cannot poison its neighbors
+        out = np.empty(zs.shape[0])
+        for k, m in enumerate(stack):
+            try:
+                out[k] = np.linalg.svd(m, compute_uv=False)[-1]
+            except np.linalg.LinAlgError as exc:
+                raise DecompositionError(f"SVD failed to converge at z={zs[k]}: {exc}") from exc
+        return out
 
 
 def norms_from_sigma(s) -> np.ndarray:

@@ -56,9 +56,9 @@ def payload(obj: Any) -> Any:
     return obj
 
 
-def _render(obj: Any, indent: int, level: int) -> str:
-    pad = " " * (indent * level)
-    inner = " " * (indent * (level + 1))
+def _render(obj: Any, level: int) -> str:
+    pad = "  " * level
+    inner = pad + "  "
     if obj is None:
         return "null"
     if isinstance(obj, (bool, np.bool_)):
@@ -76,7 +76,7 @@ def _render(obj: Any, indent: int, level: int) -> str:
         for key, value in obj.items():
             if not isinstance(key, str):
                 raise TypeError(f"JSON object keys must be strings, got {type(key)}")
-            parts.append(f"{inner}{json.dumps(key)}: {_render(value, indent, level + 1)}")
+            parts.append(f"{inner}{json.dumps(key)}: {_render(value, level + 1)}")
         return "{\n" + ",\n".join(parts) + "\n" + pad + "}"
     if isinstance(obj, (list, tuple)):
         items = list(obj)
@@ -86,19 +86,19 @@ def _render(obj: Any, indent: int, level: int) -> str:
             item is None or isinstance(item, (bool, int, float, str, np.bool_, np.integer, np.floating))
             for item in items
         ):
-            return "[" + ", ".join(_render(item, indent, level + 1) for item in items) + "]"
-        parts = [f"{inner}{_render(item, indent, level + 1)}" for item in items]
+            return "[" + ", ".join(_render(item, level + 1) for item in items) + "]"
+        parts = [f"{inner}{_render(item, level + 1)}" for item in items]
         return "[\n" + ",\n".join(parts) + "\n" + pad + "]"
     raise TypeError(f"cannot serialize {type(obj)} deterministically")
 
 
-def dumps(obj: Any, indent: int = 2) -> str:
+def dumps(obj: Any) -> str:
     """Serialize to JSON text with a trailing newline.
 
     Scalar-only lists render inline; nested structures get one element
     per line.  Key order is preserved; a raw complex raises TypeError (see ``payload``).
     """
-    return _render(obj, indent, 0) + "\n"
+    return _render(obj, 0) + "\n"
 
 
 def csv_text(header: Sequence[str], rows: Sequence[Sequence[float]]) -> str:

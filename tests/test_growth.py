@@ -264,12 +264,16 @@ def test_taylor_validation(diag03, diag_point):
 def test_probes_at_a_numerically_singular_shift_raise():
     """On jordan_block(16, 0) at z = 0.1, sigma_min is 9.9e-17 but the
     spectral distance is 0.1: the probes pass their domain checks and
-    raise NearSingularError, as documented."""
+    raise NearSingularError, as documented.  The Taylor check also
+    raises at a step point: from z = 0.3 (sigma_min 3.9e-9) the step
+    0.14 along theta0 = pi reaches 0.16, where sigma_min is 1.8e-13."""
     a = rg.jordan_block(16, 0.0)
     with pytest.raises(rg.NearSingularError):
         rg.local_min_probe(a, 0.1, 0.05)
     with pytest.raises(rg.NearSingularError):
         rg.taylor_remainder_check(a, 0.1, np.eye(16)[0], 0.0, (0.01, 0.005))
+    with pytest.raises(rg.NearSingularError):
+        rg.taylor_remainder_check(a, 0.3, np.eye(16)[0], np.pi, (0.14, 0.07))
 
 
 def test_default_taylor_steps():

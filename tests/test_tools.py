@@ -1,5 +1,6 @@
 import importlib.util
 import os
+import subprocess
 import sys
 from pathlib import Path
 from unittest import mock
@@ -57,3 +58,27 @@ def test_bench_tracer_targets_resolve():
     tracing = _load_tool("tracing", ROOT / "bench")
     for module, attr, _ in tracing.TARGETS.values():
         assert callable(getattr(importlib.import_module(module), attr, None)), (module, attr)
+
+
+def test_failing_property_test_does_not_stop_the_session(tmp_path):
+    """A failing hypothesis test is reported like any other failure: the
+    suite's warning filters must not turn what hypothesis imports to
+    explain the failure into an error that ends the session."""
+    (tmp_path / "test_two.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\n"
+        "def test_fails(x):\n"
+        "    assert x < 0\n\n\n"
+        "def test_passes():\n"
+        "    pass\n",
+        encoding="utf-8",
+    )
+    config = ["-c", str(ROOT / "pyproject.toml"), "--rootdir", str(tmp_path)]
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", *config, "-p", "no:cacheprovider", "test_two.py"],
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "1 failed, 1 passed" in proc.stdout
