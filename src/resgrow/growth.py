@@ -122,13 +122,13 @@ def sample_segment(
     """
     a = as_operator(a)
     m, a0 = _integer("m", m, 8), _real("a0", a0, positive=True)
+    theta = point.theta0 if direction is None else _real("direction", direction)
+    if theta is None:
+        raise ValueError("a local minimum point has no theta0; supply a direction")
     if a0 >= point.spectral_distance:
         raise DomainError(
             f"a0={a0} reaches the spectrum (spectral distance {point.spectral_distance})"
         )
-    theta = point.theta0 if direction is None else _real("direction", direction)
-    if theta is None:
-        raise ValueError("a local minimum point has no theta0; supply a direction")
 
     step = a0 * np.exp(-1j * theta)
     ts = np.arange(m + 1) / m
@@ -328,6 +328,10 @@ def taylor_remainder_check(
     remainder, so the fitted order sits near 3 and the residual ratio
     per halving near 8.  a is a matrix or an Operator.
 
+    One SVD at z gives alpha, beta, gamma and ||R psi||^2; the step points
+    take one batched LU solve, and their sigma_min only where the Lipschitz
+    guard of ``ShiftedSolver.solve_nearby`` cannot rule out a singular one.
+
     Raises:
         ValueError: z or theta0 not finite (a local minimum has no
             theta0), or steps not positive and strictly decreasing, or
@@ -338,6 +342,7 @@ def taylor_remainder_check(
     """
     op = as_operator(a)
     z, theta0 = _point("z", z), _real("theta0", theta0)
+    psi = as_vector(psi, op.matrix.shape[0], "psi")
     steps = tuple(_real("steps", h, positive=True) for h in steps)
     if len(steps) < 2:
         raise ValueError(f"steps must be a decreasing sequence of two or more, got {steps}")
@@ -350,28 +355,16 @@ def taylor_remainder_check(
         )
 
     solver = ShiftedSolver(op, z, cfg)
-    psi = as_vector(psi, solver.matrix.shape[0], "psi")
     alpha, beta, gamma, base_sq = _growth_quantities(solver, psi)
 
-    direction = np.exp(-1j * theta0)
-    residuals = []
-    for h in steps:
-        w = h * direction
-        u = ShiftedSolver(op, z + w, cfg).solve(psi)
-        direct = float(np.vdot(u, u).real)
-        model = (
-            base_sq
-            + 2.0 * (w * alpha).real
-            + (h * h) * beta
-            + 2.0 * ((w * w) * gamma).real
-        )
-        residuals.append(abs(direct - model))
+    hs = np.asarray(steps)
+    ws = hs * np.exp(-1j * theta0)
+    u = solver.solve_nearby(ws, psi)
+    direct = np.einsum("ki,ki->k", u.conj(), u).real
+    model = base_sq + 2.0 * (ws * alpha).real + (hs * hs) * beta + 2.0 * ((ws * ws) * gamma).real
+    residuals = np.abs(direct - model)
 
     # plain log-log slope: the steps are small enough that power-law
     # curvature is negligible here (the floor only guards log(0))
-    order, _ = _fit_power(np.asarray(steps), np.maximum(residuals, 1e-300), curvature=False)
-    return TaylorCheck(
-        steps=steps,
-        residuals=tuple(float(r) for r in residuals),
-        fitted_order=order,
-    )
+    order, _ = _fit_power(hs, np.maximum(residuals, 1e-300), curvature=False)
+    return TaylorCheck(steps=steps, residuals=tuple(map(float, residuals)), fitted_order=order)

@@ -8,8 +8,9 @@ explicit near-singularity detection, and a deterministic choice of
 singular vector when the bottom singular space is (nearly) degenerate.
 
 The resolvent itself is never formed as an explicit inverse; shifted
-systems are solved through the SVD factors, or, for large batches of
-sigma_min evaluations, by triangular solves with the Schur form.
+systems are solved through the SVD factors, the Taylor step points near
+a factored shift by one batched LU solve, and large batches of
+sigma_min evaluations by triangular solves with the Schur form.
 """
 
 from __future__ import annotations
@@ -199,18 +200,14 @@ class ShiftedSolver:
     """
 
     def __init__(self, a, z: complex, cfg: RunConfig = DEFAULT_CONFIG):
-        a = as_matrix(a)
+        self.operator = as_operator(a)
+        a = self.operator.matrix
         self.z = _point("z", z)
         self.cfg = cfg
         self.matrix = a - self.z * np.eye(a.shape[0])
         self.decomposition = svd(self.matrix, cfg)
         self.sigma_min = float(self.decomposition.values[-1])
-        if self.sigma_min <= cfg.tol_singular:
-            raise NearSingularError(
-                f"shift z={self.z} is within {cfg.tol_singular:.1e} of the spectrum "
-                f"(sigma_min={self.sigma_min:.3e})",
-                self.sigma_min,
-            )
+        _check_singular(self.z, self.sigma_min, cfg)
 
     @property
     def norm(self) -> float:
@@ -235,25 +232,56 @@ class ShiftedSolver:
         return bool(1.0 - s[-1] / s[-2] < self.cfg.degeneracy_gap)
 
     def solve(self, b) -> np.ndarray:
-        """Solve (A - zI) x = b through the SVD factors.
-
-        The backward-stable residual criterion
-        ``||Mx - b|| <= tol_solve * (||M|| ||x|| + ||b||)`` is enforced;
-        the plain residual relative to b alone is not attainable when
-        the shift sits close to the spectrum.
-        """
+        """Solve (A - zI) x = b through the SVD factors, held to the
+        residual criterion of ``_check_residual`` with ||A - zI||_2."""
         u, s, v = self.decomposition
         b = as_vector(b, self.matrix.shape[0], "b")
         x = v @ ((u.conj().T @ b) / s)
-        resid = float(np.linalg.norm(self.matrix @ x - b))
-        bound = self.cfg.tol_solve * (
-            float(s[0]) * float(np.linalg.norm(x)) + float(np.linalg.norm(b))
-        )
-        if resid > bound:
-            raise DecompositionError(
-                f"shifted solve residual {resid:.3e} exceeds its bound {bound:.3e}"
-            )
+        _check_residual(self.matrix @ x - b, x, b, s[0], self.cfg)
         return x
+
+    def solve_nearby(self, ws, b) -> np.ndarray:
+        """Rows x_k with (A - (z + w_k)I) x_k = b for the 1-D array ws, by one
+        batched LU solve per chunk, each held to ``_check_residual`` with
+        ||A - zI||_2 - |w_k| <= ||A - (z + w_k)I||_2.  sigma_min is 1-Lipschitz
+        in the shift, so the steps' sigma_min are computed only when
+        sigma_min(A - zI) - max|w_k| <= tol_singular + n·u·||A - zI||_2;
+        NearSingularError at the first of them <= tol_singular."""
+        n = self.matrix.shape[0]
+        ws, b = _complex_array("ws", ws, 1), as_vector(b, n, "b")
+        size, m_norm = np.abs(ws), float(self.decomposition.values[0])
+        if self.sigma_min - size.max() <= self.cfg.tol_singular + n * np.finfo(float).eps * m_norm:
+            us = self.z + ws
+            for u, sigma in zip(us, sigma_min_batch(self.operator, us)):
+                _check_singular(complex(u), float(sigma), self.cfg)
+        out = np.empty((ws.shape[0], n), dtype=complex)
+        for part in _chunks(n, ws.shape[0]):
+            stack = self.matrix - ws[part, None, None] * np.eye(n)
+            try:
+                x = out[part] = np.linalg.solve(stack, b[:, None])[..., 0]
+            except np.linalg.LinAlgError as exc:
+                raise DecompositionError(f"batched LU solve failed: {exc}") from exc
+            r = (stack @ x[..., None])[..., 0] - b
+            for rk, xk, norm_k in zip(r, x, m_norm - size[part]):
+                _check_residual(rk, xk, b, norm_k, self.cfg)
+        return out
+
+
+def _check_singular(z: complex, sigma: float, cfg: RunConfig) -> None:
+    if sigma <= cfg.tol_singular:
+        msg = f"shift z={z} is within {cfg.tol_singular:.1e} of the spectrum"
+        raise NearSingularError(f"{msg} (sigma_min={sigma:.3e})", sigma)
+
+
+def _check_residual(r, x, b, norm: float, cfg: RunConfig) -> None:
+    """The backward-stable criterion ||r|| <= tol_solve (norm ||x|| + ||b||)
+    of a shifted solve Mx = b, with r = Mx - b and norm <= ||M||_2; the plain
+    ||r|| <= tol_solve ||b|| is not attainable near the spectrum."""
+    resid = float(np.linalg.norm(r))
+    bound = cfg.tol_solve * (float(norm) * float(np.linalg.norm(x)) + float(np.linalg.norm(b)))
+    if resid > bound:
+        msg = f"shifted solve residual {resid:.3e} exceeds its bound {bound:.3e}"
+        raise DecompositionError(msg)
 
 
 def shifted_solve(a, z: complex, b, cfg: RunConfig = DEFAULT_CONFIG) -> np.ndarray:
@@ -287,15 +315,19 @@ def sigma_min_batch(a, zs) -> np.ndarray:
     zs = _complex_array("zs", zs, 1, low=0)
     n = op.matrix.shape[0]
     t = op.schur if n >= _SCHUR_MIN_N and zs.shape[0] >= _SCHUR_MIN_POINTS else None
-    chunk = max(1, _CHUNK_BYTES // (16 * n * n))
     out = np.empty(zs.shape[0], dtype=float)
-    for start in range(0, zs.shape[0], chunk):
-        zz = zs[start : start + chunk]
+    for part in _chunks(n, zs.shape[0]):
         if t is None:
-            out[start : start + chunk] = _sigma_min_svd(op.matrix, zz)
+            out[part] = _sigma_min_svd(op.matrix, zs[part])
         else:
-            out[start : start + chunk] = _sigma_min_schur(t, op.matrix, zz)
+            out[part] = _sigma_min_schur(t, op.matrix, zs[part])
     return out
+
+
+def _chunks(n: int, count: int):
+    """Slices of range(count); a stack of n x n matrices per slice fits ``_CHUNK_BYTES``."""
+    step = max(1, _CHUNK_BYTES // (16 * n * n))
+    return (slice(start, start + step) for start in range(0, count, step))
 
 
 # Below either size the batched SVD is faster (tools/sigma_min_crossover.py);

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import resgrow as rg
+from resgrow import growth, linalg
+from resgrow.analysis import _growth_quantities
 from resgrow.growth import EXCESS_FLOOR_REL, _fit_power
 
 
@@ -274,6 +278,74 @@ def test_probes_at_a_numerically_singular_shift_raise():
         rg.taylor_remainder_check(a, 0.1, np.eye(16)[0], 0.0, (0.01, 0.005))
     with pytest.raises(rg.NearSingularError):
         rg.taylor_remainder_check(a, 0.3, np.eye(16)[0], np.pi, (0.14, 0.07))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    n=st.integers(2, 32),
+    seed=st.integers(0, 2**20),
+    re=st.floats(-4.0, 4.0),
+    im=st.floats(-4.0, 4.0),
+)
+def test_taylor_batched_solve_matches_per_step_solver(n, seed, re, im):
+    """The residuals of the batched step solve equal those recomputed with a
+    full ShiftedSolver at every step point z + w, to 1e-10 ||R(z) psi||^2."""
+    op, z = rg.Operator(rg.random_dense(n, seed)), complex(re, im)
+    if rg.spectral_distance(op.eigenvalues, z) <= 0.05:
+        return
+    point = rg.analyze_point(op, z)
+    theta0 = 0.7 if point.theta0 is None else point.theta0
+    steps = rg.default_taylor_steps()
+    check = rg.taylor_remainder_check(op, z, point.psi, theta0, steps)
+    alpha, beta, gamma, base_sq = _growth_quantities(rg.ShiftedSolver(op, z), point.psi)
+    reference = []
+    for h in steps:
+        w = h * np.exp(-1j * theta0)
+        u = rg.ShiftedSolver(op, z + w).solve(point.psi)
+        model = base_sq + 2.0 * (w * alpha).real + h * h * beta + 2.0 * (w * w * gamma).real
+        reference.append(abs(float(np.vdot(u, u).real) - model))
+    assert np.max(np.abs(np.array(check.residuals) - reference)) <= 1e-10 * base_sq
+
+
+@pytest.fixture
+def work_counts(monkeypatch):
+    """Calls of linalg.svd and of sigma_min_batch, counted by wrapping them
+    in linalg and under growth's own name."""
+    counts = {"svd": 0, "sigma_min_batch": 0}
+
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(linalg, "svd", counted("svd", linalg.svd))
+    batch = counted("sigma_min_batch", linalg.sigma_min_batch)
+    monkeypatch.setattr(linalg, "sigma_min_batch", batch)
+    monkeypatch.setattr(growth, "sigma_min_batch", batch)
+    return counts
+
+
+def test_taylor_check_factors_only_the_base_shift(work_counts):
+    """Away from the spectrum the check makes one SVD, at z, and evaluates
+    no sigma_min at the step points: no factorization per step."""
+    op = rg.Operator(rg.random_dense(32, 1))
+    z = 12.0 + 1.0j
+    assert rg.spectral_distance(op.eigenvalues, z) > 1.0
+    check = rg.taylor_remainder_check(op, z, np.eye(32)[0], 0.3, rg.default_taylor_steps())
+    assert len(check.residuals) == 7
+    assert work_counts == {"svd": 1, "sigma_min_batch": 0}
+
+
+def test_taylor_guard_without_a_singular_step(work_counts):
+    """On jordan_block(16, 0) at z = 0.3, sigma_min is 3.9e-9, so the
+    Lipschitz guard evaluates the step points; none of them is singular
+    and the check returns its fit."""
+    a = rg.jordan_block(16, 0.0)
+    check = rg.taylor_remainder_check(a, 0.3, np.eye(16)[0], 0.0, (1e-3, 5e-4))
+    assert work_counts == {"svd": 1, "sigma_min_batch": 1}
+    assert check.fitted_order == pytest.approx(2.99586, abs=1e-5)
 
 
 def test_default_taylor_steps():

@@ -114,6 +114,21 @@ def test_as_vector_validation():
             lambda a, point, grid: rg.sample_segment(a, point, 0.01, 16, math.nan),
             "direction must be a number and finite",
         ),
+        # the direction is checked before the segment length
+        (
+            lambda a, point, grid: rg.sample_segment(
+                np.diag([0j, 3]), rg.analyze_point(np.diag([0j, 3]), 1.0), 5.0, 16, math.nan
+            ),
+            "direction must be a number and finite",
+        ),
+        (
+            lambda a, point, grid: rg.sample_segment(
+                rg.circulant_weighted_shift_inverse([2, 1, 1, 1]),
+                rg.analyze_point(rg.circulant_weighted_shift_inverse([2, 1, 1, 1]), 0j),
+                5.0,
+            ),
+            "supply a direction",
+        ),
         (
             lambda a, point, grid: rg.grid_sigma_min(a, -math.inf, 1, 0, 1, 3, 3),
             "re_min must be a number and finite",
@@ -140,7 +155,8 @@ def test_as_vector_validation():
         "segment-auto-m", "taylor-levels", "zigzag-n-fraction", "zigzag-n-none",
         "jordan-n-none", "jordan-n-fraction", "random-n-none", "random-n-fraction",
         "random-seed", "analyze-z-inf", "path-z-nan", "localmin-z-nan", "taylor-z-inf",
-        "segment-direction-nan", "grid-bound-inf", "jordan-lam-inf", "diagonal-inf",
+        "segment-direction-nan", "segment-direction-nan-long", "segment-no-direction-long",
+        "grid-bound-inf", "jordan-lam-inf", "diagonal-inf",
         "path-epsilon-inf", "path-epsilon-bool", "analyze-z-huge-int", "path-epsilon-huge-int",
     ],
 )
@@ -221,6 +237,17 @@ NAN, INF = complex(math.nan, 0), complex(math.inf, 0)
             lambda a: rg.taylor_remainder_check(a, Z, [math.nan] * 8, 0.0, (1e-3, 5e-4)),
             "psi entries must be finite",
         ),
+        # psi is checked before the spectrum and the SVD are computed
+        (
+            lambda a: rg.taylor_remainder_check(
+                rg.jordan_block(16, 0), 0.1, [1, 2], 0.0, (0.01, 0.005)
+            ),
+            "psi has length 2, expected 16",
+        ),
+        (
+            lambda a: rg.taylor_remainder_check(a, Z, [1, 2], 0.0, (10.0, 5.0)),
+            "psi has length 2, expected 8",
+        ),
         (
             lambda a: rg.circulant_weighted_shift_inverse([2, math.inf]),
             "weights entries must be finite",
@@ -244,7 +271,8 @@ NAN, INF = complex(math.nan, 0), complex(math.inf, 0)
         "batch-2d", "distance-nan", "distance-none", "distance-empty", "phase-nan",
         "phase-2d", "path-vertex-nan", "path-vertex-inf", "path-vertex-none",
         "path-no-vertices", "path-epsilon-negative", "path-eigenvalue-nan", "solve-b-length",
-        "taylor-psi-length", "quantities-psi-nan", "shift-weights-inf", "batch-bool",
+        "taylor-psi-length", "quantities-psi-nan", "taylor-psi-at-singular-shift",
+        "taylor-psi-with-long-step", "shift-weights-inf", "batch-bool",
         "batch-numeric-string", "path-vertex-bool", "matrix-bool-dtype", "batch-huge-int",
         "phase-empty", "shift-one-weight",
     ],
