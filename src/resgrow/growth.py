@@ -326,7 +326,9 @@ def taylor_remainder_check(
     The model is ||R psi||^2 + 2 Re[w alpha] + |w|^2 beta + 2 Re[w^2 gamma]
     with w = h e^{-i theta0}; a correct implementation leaves a cubic
     remainder, so the fitted order sits near 3 and the residual ratio
-    per halving near 8.  a is a matrix or an Operator.
+    per halving near 8.  The order is fitted over the leading residuals
+    above ``EXCESS_FLOOR_REL`` ||R psi||^2, at least two, since rounding
+    sets the rest.  a is a matrix or an Operator.
 
     One SVD at z gives alpha, beta, gamma and ||R psi||^2; the step points
     take one batched LU solve, and their sigma_min only where the Lipschitz
@@ -364,7 +366,8 @@ def taylor_remainder_check(
     model = base_sq + 2.0 * (ws * alpha).real + (hs * hs) * beta + 2.0 * ((ws * ws) * gamma).real
     residuals = np.abs(direct - model)
 
-    # plain log-log slope: the steps are small enough that power-law
-    # curvature is negligible here (the floor only guards log(0))
-    order, _ = _fit_power(hs, np.maximum(residuals, 1e-300), curvature=False)
+    # plain log-log slope over the leading residuals above the floor, at least
+    # two (1e-300 guards log(0)): the steps make power-law curvature negligible
+    keep = slice(max(2, int(np.cumprod(residuals > EXCESS_FLOOR_REL * base_sq).sum())))
+    order, _ = _fit_power(hs[keep], np.maximum(residuals[keep], 1e-300), curvature=False)
     return TaylorCheck(steps=steps, residuals=tuple(map(float, residuals)), fitted_order=order)

@@ -10,13 +10,14 @@ singular vector when the bottom singular space is (nearly) degenerate.
 The resolvent itself is never formed as an explicit inverse; shifted
 systems are solved through the SVD factors, the Taylor step points near
 a factored shift by one batched LU solve, and large batches of
-sigma_min evaluations by triangular solves with the Schur form.
+sigma_min evaluations through the Schur form T: min |t_ii - z| when T is
+diagonal, else triangular solves with T.
 """
 
 from __future__ import annotations
 
 import json
-from functools import cached_property
+from functools import cached_property, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -173,7 +174,10 @@ class Operator:
 
     @cached_property
     def schur(self) -> np.ndarray | None:
-        """T of the complex Schur form A = Z T Z*, or None if LAPACK fails."""
+        """T of the complex Schur form A = Z T Z*, or None if LAPACK fails;
+        an upper triangular A itself (Z = I, as zgees returns it) without scipy."""
+        if not np.tril(self.matrix, -1).any():
+            return self.matrix
         # imported here: at module level it would slow `import resgrow` by 0.36 s
         from scipy.linalg.lapack import zgees
 
@@ -181,6 +185,21 @@ class Operator:
         lwork = int(zgees(lambda _: False, self.matrix, compute_v=0, lwork=-1)[-2][0].real)
         t, *_, info = zgees(lambda _: False, self.matrix, compute_v=0, lwork=lwork)
         return _read_only(t) if info == 0 else None
+
+    @cached_property
+    def _sigma_route(self):
+        """``sigma_min_batch``'s route for a large batch: a function of one chunk."""
+        a, n = self.matrix, self.matrix.shape[0]
+        # T is factored only where inverse Lanczos pays; a triangular A is its own T
+        t = self.schur if n >= _SCHUR_MIN_N or not np.tril(a, -1).any() else None
+        if t is not None:
+            off = float(np.linalg.norm(np.triu(t, 1)))
+            if off <= n * np.finfo(float).eps * np.linalg.norm(t):
+                d = np.diagonal(t)[:, None]
+                return lambda zs: np.abs(d - zs).min(axis=0) + off  # Weyl
+            if n >= _SCHUR_MIN_N:
+                return partial(_sigma_min_lanczos, t, a)
+        return partial(_sigma_min_svd, a)
 
 
 def as_operator(obj) -> Operator:
@@ -293,34 +312,31 @@ def sigma_min_batch(a, zs) -> np.ndarray:
     """Smallest singular value of A - zI for every z in a 1-D array zs.
 
     A is a matrix or an Operator; ValueError unless zs is 1-D and its
-    entries are finite numbers.  zs may be empty.
-    Fewer than ``_SCHUR_MIN_POINTS`` points, or n < ``_SCHUR_MIN_N``: one
-    batched SVD of the shifted matrices per chunk, the accuracy
-    reference.  Otherwise the route reads the complex Schur form
-    A = Z T Z*, factored once per Operator (once per call for a plain
-    matrix).  If N = triu(T, 1) has ||N||_F <= n·u·||A||_F,
-    sigma_min(T - zI) is taken as min_i |t_ii - z| + ||N||_F (Weyl), else
+    entries are finite numbers.  zs may be empty.  Fewer than
+    ``_SCHUR_MIN_POINTS`` points take one batched SVD of the shifted
+    matrices per chunk, the accuracy reference.  For more, the Operator
+    picks a route once from its Schur form A = Z T Z*, free for a
+    triangular A, else factored only if n >= ``_SCHUR_MIN_N``.  If
+    N = triu(T, 1) has ||N||_F <= n·u·||T||_F, at any n, sigma_min(T - zI)
+    is min_i |t_ii - z| + ||N||_F (Weyl).  Else, for n >= ``_SCHUR_MIN_N``,
     inverse Lanczos on ((T - zI)*(T - zI))^-1 runs for all points in
-    lockstep until the top Ritz value settles to 1e-14 relative.  Either
-    agrees with the SVD to 1e-12·sigma + n·u·||A||_F and bounds
-    sigma_min(T - zI) from above.  Points that overflow or do not settle
-    in ``_LANCZOS_MAX_ITER`` steps, or all if the factorization fails,
-    are redone by the SVD.  Only this route imports scipy.
+    lockstep until the top Ritz value settles to 1e-14 relative, and the
+    SVD redoes points that overflow or do not settle in
+    ``_LANCZOS_MAX_ITER`` steps.  Else, or if T is not at hand, the SVD.
+    Weyl and Lanczos agree with the SVD to 1e-12·sigma + n·u·||A||_F and
+    bound sigma_min(T - zI) from above.  Only factoring T imports scipy.
 
     Never raises on singularity: exact hits store 0 (in Lanczos, z = some
-    t_ii).  One loop hands either route chunks of points whose temporaries
+    t_ii).  One loop hands the route chunks of points whose temporaries
     stay below about ``_CHUNK_BYTES``.
     """
     op = as_operator(a)
     zs = _complex_array("zs", zs, 1, low=0)
-    n = op.matrix.shape[0]
-    t = op.schur if n >= _SCHUR_MIN_N and zs.shape[0] >= _SCHUR_MIN_POINTS else None
+    many = zs.shape[0] >= _SCHUR_MIN_POINTS
+    route = op._sigma_route if many else partial(_sigma_min_svd, op.matrix)
     out = np.empty(zs.shape[0], dtype=float)
-    for part in _chunks(n, zs.shape[0]):
-        if t is None:
-            out[part] = _sigma_min_svd(op.matrix, zs[part])
-        else:
-            out[part] = _sigma_min_schur(t, op.matrix, zs[part])
+    for part in _chunks(op.matrix.shape[0], zs.shape[0]):
+        out[part] = route(zs[part])
     return out
 
 
@@ -330,7 +346,7 @@ def _chunks(n: int, count: int):
     return (slice(start, start + step) for start in range(0, count, step))
 
 
-# Below either size the batched SVD is faster (tools/sigma_min_crossover.py);
+# Below either size the batched SVD beats inverse Lanczos (tools/sigma_min_crossover.py);
 # then the Ritz value settling tolerance, the Lanczos step cap before the
 # SVD takes over, and the bound on the temporaries of one chunk of points.
 _SCHUR_MIN_N = 48
@@ -340,10 +356,7 @@ _LANCZOS_MAX_ITER = 24
 _CHUNK_BYTES = 1 << 26
 
 
-def _sigma_min_schur(t: np.ndarray, a: np.ndarray, zs: np.ndarray) -> np.ndarray:
-    off = np.linalg.norm(np.triu(t, 1))
-    if off <= t.shape[0] * np.finfo(float).eps * np.linalg.norm(t):
-        return np.abs(np.diagonal(t)[:, None] - zs).min(axis=0) + off
+def _sigma_min_lanczos(t: np.ndarray, a: np.ndarray, zs: np.ndarray) -> np.ndarray:
     out = _inverse_lanczos(t, zs)
     redo = np.isnan(out)
     if redo.any():

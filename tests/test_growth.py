@@ -235,6 +235,16 @@ def test_taylor_symmetric_point_remainder_is_quartic(shift2):
     assert check.fitted_order > 3.5
 
 
+def test_taylor_fit_skips_rounding_level_residuals(shift4):
+    """At z = 0 on shift [2, 1, 1, 1] the remainder is quartic, and the
+    last residuals sit at rounding level against ||R psi||^2 = 4; fitting
+    only the leading residuals above the floor recovers the order 4."""
+    point = rg.analyze_point(shift4, 0j)
+    check = rg.taylor_remainder_check(shift4, 0j, point.psi, 0.0, rg.default_taylor_steps())
+    assert check.residuals[-1] < EXCESS_FLOOR_REL * 4.0
+    assert check.fitted_order == pytest.approx(4.0, abs=1e-3)
+
+
 def test_taylor_first_order_coefficient_matches_alpha(diag03, diag_point):
     # central difference of ||R(zeta) psi||^2 along the growth direction
     theta = diag_point.theta0

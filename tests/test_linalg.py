@@ -591,6 +591,19 @@ def test_sigma_min_batch_dispatch():
     # one point too few, or n one too small: the batched SVD
     assert _svd_batches(a, zs[:63])[1] == [63]
     assert _svd_batches(rg.random_dense(47, 1), zs)[1] == [96]
+    # a triangular A is its own Schur form: a diagonal one takes the
+    # shortcut at any n, a small non-diagonal one the batched SVD
+    with (
+        mock.patch("scipy.linalg.lapack.zgees", side_effect=AssertionError),
+        mock.patch.object(linalg, "_inverse_lanczos", side_effect=AssertionError),
+    ):
+        for n in (4, 10):
+            small = rg.zigzag_diagonal(n)
+            vals, sizes = _svd_batches(small, zs)
+            assert sizes == []
+            _assert_matches_svd(small, zs, vals)
+        assert _svd_batches(rg.zigzag_diagonal(4), zs[:63])[1] == [63]
+        assert _svd_batches(rg.jordan_block(8, 0.0), zs)[1] == [96]
     # inside the unit disk around a Jordan eigenvalue inverse Lanczos
     # settles in a few steps, except where sigma_min underflows and the
     # iteration overflows: those three points are redone by the SVD

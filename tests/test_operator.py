@@ -6,6 +6,9 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg.lapack import zgees
 
 import resgrow as rg
 from resgrow import linalg
@@ -65,6 +68,30 @@ def test_operator_is_a_read_only_copy():
             data[0] = 1.0
     assert linalg.as_matrix(op) is op.matrix
     assert linalg.as_operator(op) is op
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    kind=st.sampled_from(["diagonal", "jordan", "triu"]),
+    n=st.integers(1, 64),
+    seed=st.integers(0, 2**20),
+)
+def test_triangular_matrix_is_its_own_schur_form(kind, n, seed):
+    """An upper triangular A is returned as T without a zgees call, and
+    bitwise equal to the T zgees returns for it."""
+    rng = np.random.default_rng(seed)
+    # diagonal entries from a short list, so repeated and zero ones are common
+    diag = rng.choice(np.array([0.0, 1.0, 0.5j, -2.5 + 1.0j]), n)
+    upper = {
+        "diagonal": np.zeros((n, n)),
+        "jordan": np.eye(n, k=1),
+        "triu": np.triu(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)), 1),
+    }[kind]
+    a = np.diag(diag) + upper
+    expected = zgees(lambda _: False, a, compute_v=0)[0]
+    with mock.patch("scipy.linalg.lapack.zgees", side_effect=AssertionError):
+        t = rg.Operator(a).schur
+    assert t.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize(

@@ -1,22 +1,24 @@
-"""Crossover table for the two routes of ``resgrow.sigma_min_batch``.
+"""Crossover table for the routes of ``resgrow.sigma_min_batch``.
 
     python3 tools/sigma_min_crossover.py [--repeats 5]
 
-Prints microseconds per point for the batched SVD route and the Schur
-route, the Schur factorization included, for n in {16, 32, 48, 64, 96,
-128} and batch sizes P in {1, 17, 33, 64, 96, 258}.  Each matrix is
-``random_dense(n, n)``; the points have Gaussian parts of standard deviation
-0.5·sqrt(n), the scale of the benchmark's resolvent points.  Times are
-medians over the repeats, on one BLAS thread.  The thresholds
+Prints microseconds per point for the batched SVD route and the inverse
+Lanczos route, the Schur factorization included, for n in {16, 32, 48,
+64, 96, 128} and batch sizes P in {1, 17, 33, 64, 96, 258}.  Each matrix
+is ``random_dense(n, n)``; the points have Gaussian parts of standard
+deviation 0.5·sqrt(n), the scale of the benchmark's resolvent points.
+Times are medians over the repeats, on one BLAS thread.  The thresholds
 ``_SCHUR_MIN_N`` and ``_SCHUR_MIN_POINTS`` in ``resgrow.linalg`` are
 read off this table.
 
-A second table times both routes at n = 64, P = 96 on random_dense and
-on structured matrices: zigzag takes the diagonal shortcut, and on
-Jordan and Grcar the singular values cluster, so inverse Lanczos
-converges slowly and some points reach the step cap and are redone by
-the SVD.  Its points have the same Gaussian scale, 0.5·sqrt(64) = 4,
-or scale 1.
+A second table times the batched SVD against the route
+``sigma_min_batch`` takes at P = 96, its choice of route included.  At
+n = 64 that is inverse Lanczos on random_dense, Jordan and Grcar, where
+the singular values cluster, so Lanczos converges slowly and some points
+reach the step cap and are redone by the SVD.  zigzag has a diagonal
+Schur form and takes the min |t_ii - z| formula at every n, so its rows
+at n = 4, 16 and 32 show what that formula saves below ``_SCHUR_MIN_N``.
+Its points have the same Gaussian scale, 0.5·sqrt(64) = 4, or scale 1.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import os
 import statistics
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 # pinned before numpy is imported
@@ -34,8 +37,14 @@ os.environ["OPENBLAS_NUM_THREADS"] = "1"
 import numpy as np  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
-from resgrow import Operator, jordan_block, random_dense, zigzag_diagonal  # noqa: E402
-from resgrow.linalg import _sigma_min_schur, _sigma_min_svd  # noqa: E402
+from resgrow import (  # noqa: E402
+    Operator,
+    jordan_block,
+    random_dense,
+    sigma_min_batch,
+    zigzag_diagonal,
+)
+from resgrow.linalg import _sigma_min_lanczos, _sigma_min_svd  # noqa: E402
 
 SIZES = (16, 32, 48, 64, 96, 128)
 BATCHES = (1, 17, 33, 64, 96, 258)
@@ -44,14 +53,14 @@ STRUCTURED = {
     "jordan_block(64, 0.5)": lambda: jordan_block(64, 0.5),
     # -1 on the subdiagonal, 1 on the diagonal and three superdiagonals
     "grcar(64)": lambda: sum(np.eye(64, k=k) for k in range(4)) - np.eye(64, k=-1) + 0j,
-    "zigzag_diagonal(64)": lambda: zigzag_diagonal(64),
+    **{f"zigzag_diagonal({n})": partial(zigzag_diagonal, n) for n in (64, 4, 16, 32)},
 }
 
 
-def schur_route(a, zs):
-    """The Schur route, its factorization and its SVD redo of unsettled
-    points included, as one chunk of ``sigma_min_batch`` runs it."""
-    return _sigma_min_schur(Operator(a).schur, a, zs)
+def lanczos_route(a, zs):
+    """The inverse Lanczos route, its Schur factorization and its SVD redo
+    of unsettled points included, as one chunk of ``sigma_min_batch`` runs it."""
+    return _sigma_min_lanczos(Operator(a).schur, a, zs)
 
 
 def us_per_point(route, a, zs, repeats: int) -> float:
@@ -63,11 +72,13 @@ def us_per_point(route, a, zs, repeats: int) -> float:
     return 1e6 * statistics.median(times) / zs.shape[0]
 
 
-def cell(a, zs, repeats: int) -> str:
-    """'svd / schur' microseconds per point, right-aligned in 16 columns."""
+def cell(a, zs, repeats: int, route=lanczos_route) -> str:
+    """'svd / route' microseconds per point, right-aligned in 16 columns."""
     svd = us_per_point(_sigma_min_svd, a, zs, repeats)
-    schur = us_per_point(schur_route, a, zs, repeats)
-    return f"{svd:>7.0f} /{schur:>6.0f}".rjust(16)
+    other = us_per_point(route, a, zs, repeats)
+    # two decimals below 10 us: the Weyl formula takes under 1 us per point
+    svd, other = (f"{t:.{0 if t >= 10 else 2}f}" for t in (svd, other))
+    return f"{svd:>7} /{other:>6}".rjust(16)
 
 
 def main(argv=None) -> None:
@@ -76,8 +87,8 @@ def main(argv=None) -> None:
     args = parser.parse_args(argv)
     rng = np.random.default_rng(0)
     # the first Schur call imports scipy.linalg; keep that out of the table
-    schur_route(random_dense(16, 0), np.zeros(1, dtype=complex))
-    print(f"OPENBLAS_NUM_THREADS=1, median of {args.repeats}, us per point (svd / schur)")
+    lanczos_route(random_dense(16, 0), np.zeros(1, dtype=complex))
+    print(f"OPENBLAS_NUM_THREADS=1, median of {args.repeats}, us per point (svd / lanczos)")
     print("    n " + "".join(f"{f'P={p}':>16}" for p in BATCHES))
     for n in SIZES:
         a = random_dense(n, n)
@@ -86,14 +97,14 @@ def main(argv=None) -> None:
             zs = 0.5 * np.sqrt(n) * (rng.standard_normal(p) + 1j * rng.standard_normal(p))
             cells.append(cell(a, zs, args.repeats))
         print(f"{n:>5} " + "".join(cells))
-    print("\nn = 64, P = 96, us per point (svd / schur)")
+    print("\nP = 96, us per point (svd / sigma_min_batch)")
     print(f"{'matrix':<22}{'scale 4':>16}{'scale 1':>16}")
     for name, make in STRUCTURED.items():
         a = make()
         cells = []
         for scale in (0.5 * np.sqrt(64), 1.0):
             zs = scale * (rng.standard_normal(96) + 1j * rng.standard_normal(96))
-            cells.append(cell(a, zs, args.repeats))
+            cells.append(cell(a, zs, args.repeats, sigma_min_batch))
         print(f"{name:<22}" + "".join(cells))
 
 
