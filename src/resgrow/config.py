@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import cmath
 import dataclasses
-import json
 import math
 import numbers
 from dataclasses import dataclass
+
+from .serialize import load_json
 
 # The scalar argument rule of the package: each helper returns the value
 # converted or raises ValueError naming it.  bool is not a number, and an
@@ -107,9 +108,4 @@ def config_from_dict(data: dict) -> RunConfig:
 
 def load_config(path: str) -> RunConfig:
     """Read a JSON config file.  Unknown keys are an error."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"malformed config file {path}: {exc}") from exc
-    return config_from_dict(data)
+    return config_from_dict(load_json(path, "config"))

@@ -9,14 +9,13 @@ singular vector when the bottom singular space is (nearly) degenerate.
 
 The resolvent itself is never formed as an explicit inverse; shifted
 systems are solved through the SVD factors, the Taylor step points near
-a factored shift by one batched LU solve, and large batches of
-sigma_min evaluations through the Schur form T: min |t_ii - z| when T is
-diagonal, else triangular solves with T.
+a factored shift by one batched LU solve, and sigma_min evaluations by
+min |a_ii - z| for a diagonal A, else in large batches through the Schur
+form T: min |t_ii - z| when T is diagonal, else triangular solves with T.
 """
 
 from __future__ import annotations
 
-import json
 from functools import cached_property, partial
 from typing import NamedTuple
 
@@ -24,7 +23,7 @@ import numpy as np
 
 from .config import DEFAULT_CONFIG, RunConfig, _finite, _integer, _is_number, _point
 from .errors import DecompositionError, NearSingularError
-from .serialize import dumps, payload
+from .serialize import dumps, load_json, payload
 
 # Relative tolerance for treating trailing singular values as tied with
 # the smallest one.  Deliberately far below the 1e-9 to which tests hold
@@ -174,10 +173,7 @@ class Operator:
 
     @cached_property
     def schur(self) -> np.ndarray | None:
-        """T of the complex Schur form A = Z T Z*, or None if LAPACK fails;
-        an upper triangular A itself (Z = I, as zgees returns it) without scipy."""
-        if not np.tril(self.matrix, -1).any():
-            return self.matrix
+        """T of the complex Schur form A = Z T Z*, or None if LAPACK fails."""
         # imported here: at module level it would slow `import resgrow` by 0.36 s
         from scipy.linalg.lapack import zgees
 
@@ -187,19 +183,23 @@ class Operator:
         return _read_only(t) if info == 0 else None
 
     @cached_property
+    def _diagonal(self) -> bool:
+        """True when A has no nonzero entry off its diagonal."""
+        return not (np.tril(self.matrix, -1).any() or np.triu(self.matrix, 1).any())
+
+    @cached_property
     def _sigma_route(self):
-        """``sigma_min_batch``'s route for a large batch: a function of one chunk."""
+        """``sigma_min_batch``'s route for a diagonal A or a large batch: a
+        function of one chunk.  T is factored only where inverse Lanczos pays."""
         a, n = self.matrix, self.matrix.shape[0]
-        # T is factored only where inverse Lanczos pays; a triangular A is its own T
-        t = self.schur if n >= _SCHUR_MIN_N or not np.tril(a, -1).any() else None
-        if t is not None:
-            off = float(np.linalg.norm(np.triu(t, 1)))
-            if off <= n * np.finfo(float).eps * np.linalg.norm(t):
-                d = np.diagonal(t)[:, None]
-                return lambda zs: np.abs(d - zs).min(axis=0) + off  # Weyl
-            if n >= _SCHUR_MIN_N:
-                return partial(_sigma_min_lanczos, t, a)
-        return partial(_sigma_min_svd, a)
+        t = a if self._diagonal else self.schur if n >= _SCHUR_MIN_N else None
+        if t is None:
+            return partial(_sigma_min_svd, a)
+        off = float(np.linalg.norm(np.triu(t, 1)))
+        if off <= n * np.finfo(float).eps * np.linalg.norm(t):
+            d = np.diagonal(t)[:, None]
+            return lambda zs: np.abs(d - zs).min(axis=0) + off  # Weyl
+        return partial(_inverse_lanczos, t, a)
 
 
 def as_operator(obj) -> Operator:
@@ -312,19 +312,20 @@ def sigma_min_batch(a, zs) -> np.ndarray:
     """Smallest singular value of A - zI for every z in a 1-D array zs.
 
     A is a matrix or an Operator; ValueError unless zs is 1-D and its
-    entries are finite numbers.  zs may be empty.  Fewer than
-    ``_SCHUR_MIN_POINTS`` points take one batched SVD of the shifted
-    matrices per chunk, the accuracy reference.  For more, the Operator
-    picks a route once from its Schur form A = Z T Z*, free for a
-    triangular A, else factored only if n >= ``_SCHUR_MIN_N``.  If
-    N = triu(T, 1) has ||N||_F <= n·u·||T||_F, at any n, sigma_min(T - zI)
-    is min_i |t_ii - z| + ||N||_F (Weyl).  Else, for n >= ``_SCHUR_MIN_N``,
-    inverse Lanczos on ((T - zI)*(T - zI))^-1 runs for all points in
-    lockstep until the top Ritz value settles to 1e-14 relative, and the
-    SVD redoes points that overflow or do not settle in
-    ``_LANCZOS_MAX_ITER`` steps.  Else, or if T is not at hand, the SVD.
-    Weyl and Lanczos agree with the SVD to 1e-12·sigma + n·u·||A||_F and
-    bound sigma_min(T - zI) from above.  Only factoring T imports scipy.
+    entries are finite numbers.  zs may be empty.  The Operator picks the
+    route once.  A diagonal A (no nonzero entry off the diagonal) takes
+    min_i |a_ii - z|, exact, at any batch size.  Fewer than
+    ``_SCHUR_MIN_POINTS`` points on any other A take one batched SVD of
+    the shifted matrices per chunk, the accuracy reference.  For more, at
+    n >= ``_SCHUR_MIN_N``, the Schur form A = Z T Z* is factored: if
+    N = triu(T, 1) has ||N||_F <= n·u·||T||_F (a normal A), sigma_min(T - zI)
+    is min_i |t_ii - z| + ||N||_F (Weyl); else inverse Lanczos on
+    ((T - zI)*(T - zI))^-1 runs for all points in lockstep until the top
+    Ritz value settles to 1e-14 relative, and the SVD redoes points that
+    overflow or do not settle in ``_LANCZOS_MAX_ITER`` steps.  Else, or if
+    T is not at hand, the SVD.  Weyl and Lanczos agree with the SVD to
+    1e-12·sigma + n·u·||A||_F and bound sigma_min(T - zI) from above.  Only
+    factoring T imports scipy.
 
     Never raises on singularity: exact hits store 0 (in Lanczos, z = some
     t_ii).  One loop hands the route chunks of points whose temporaries
@@ -333,7 +334,7 @@ def sigma_min_batch(a, zs) -> np.ndarray:
     op = as_operator(a)
     zs = _complex_array("zs", zs, 1, low=0)
     many = zs.shape[0] >= _SCHUR_MIN_POINTS
-    route = op._sigma_route if many else partial(_sigma_min_svd, op.matrix)
+    route = op._sigma_route if many or op._diagonal else partial(_sigma_min_svd, op.matrix)
     out = np.empty(zs.shape[0], dtype=float)
     for part in _chunks(op.matrix.shape[0], zs.shape[0]):
         out[part] = route(zs[part])
@@ -346,22 +347,14 @@ def _chunks(n: int, count: int):
     return (slice(start, start + step) for start in range(0, count, step))
 
 
-# Below either size the batched SVD beats inverse Lanczos (tools/sigma_min_crossover.py);
-# then the Ritz value settling tolerance, the Lanczos step cap before the
-# SVD takes over, and the bound on the temporaries of one chunk of points.
+# A diagonal A aside, the batched SVD beats factoring T plus inverse Lanczos below either
+# size (tools/sigma_min_crossover.py); then the Ritz value settling tolerance, the Lanczos
+# step cap before the SVD takes over, and the bound on the temporaries of one chunk of points.
 _SCHUR_MIN_N = 48
 _SCHUR_MIN_POINTS = 64
 _LANCZOS_REL = 1e-14
 _LANCZOS_MAX_ITER = 24
 _CHUNK_BYTES = 1 << 26
-
-
-def _sigma_min_lanczos(t: np.ndarray, a: np.ndarray, zs: np.ndarray) -> np.ndarray:
-    out = _inverse_lanczos(t, zs)
-    redo = np.isnan(out)
-    if redo.any():
-        out[redo] = _sigma_min_svd(a, zs[redo])
-    return out
 
 
 def _solve_upper(t: np.ndarray, dg: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -373,9 +366,10 @@ def _solve_upper(t: np.ndarray, dg: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def _inverse_lanczos(t: np.ndarray, zs: np.ndarray) -> np.ndarray:
+def _inverse_lanczos(t: np.ndarray, a: np.ndarray, zs: np.ndarray) -> np.ndarray:
     """sigma_min(T - zI) by Lanczos on ((T - zI)*(T - zI))^-1, all points in
-    lockstep from one start vector; NaN where it overflows or does not settle."""
+    lockstep from one start vector; the SVD of A - zI redoes the points
+    where it overflows or does not settle."""
     n, cap = t.shape[0], _LANCZOS_MAX_ITER
     dg = np.diagonal(t)[:, None] - zs[None, :]
     out = np.where((dg == 0.0).any(axis=0), 0.0, np.nan)
@@ -410,6 +404,9 @@ def _inverse_lanczos(t: np.ndarray, zs: np.ndarray) -> np.ndarray:
             state = (act, dg, dg_low, q, w, beta, theta, coef)
             act, dg, dg_low, q_prev, w, beta, theta, coef = (v[..., keep] for v in state)
             q = w / beta
+    redo = np.isnan(out)
+    if redo.any():
+        out[redo] = _sigma_min_svd(a, zs[redo])
     return out
 
 
@@ -472,10 +469,5 @@ def save_matrix(path: str, m) -> None:
 
 
 def load_matrix(path: str) -> np.ndarray:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"malformed matrix file {path}: {exc}") from exc
-    return matrix_from_dict(data)
+    return matrix_from_dict(load_json(path, "matrix"))
 

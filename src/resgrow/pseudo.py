@@ -220,9 +220,9 @@ def certify_path(a, path: PolyPath, cfg: RunConfig = DEFAULT_CONFIG) -> PathCert
 
     Checks, in order: the resolvent norm along every segment stays
     strictly above 1/epsilon with margin at least half of
-    f(x_1) - delta - 1/epsilon; the vertex norms over x_1..x_m strictly
-    increase; the final hop is shorter than epsilon/2; the last vertex
-    is an eigenvalue under the residual test
+    f(x_1) - delta - 1/epsilon (met when f(x_1) is infinite); the vertex
+    norms over x_1..x_m strictly increase; the final hop is shorter than
+    epsilon/2; the last vertex is an eigenvalue under the residual test
     sigma_min(A - lambda I) <= tol_eig * max(1, ||A||_2).
 
     The floor is proved over the continuous segments, not only at
@@ -247,7 +247,8 @@ def certify_path(a, path: PolyPath, cfg: RunConfig = DEFAULT_CONFIG) -> PathCert
     vertex_norms = tuple(float(v) for v in norms[:-1])
     endpoint_distance = float(abs(verts[-2] - verts[-1])) if vertex_norms else 0.0
     f_start = vertex_norms[0] if vertex_norms else float(norms[0])
-    required_margin = 0.5 * (f_start - path.delta - inv_eps)
+    # f(x_1) = inf at an exact eigenvalue, where find_path's delta is inf too: margin met
+    required_margin = 0.5 * (f_start - path.delta - inv_eps) if f_start < np.inf else 0.0
     s_req = 1.0 / (inv_eps + max(required_margin, 0.0))
     slack = op.matrix.shape[0] * np.finfo(float).eps * (op.norm + float(np.max(np.abs(verts))))
 

@@ -7,6 +7,7 @@ other run-dependent data ever enter a payload.
 
 One rule, ``payload``, turns every result into plain data: a result's
 payload is its fields in declaration order, each complex as [re, im].
+``load_json`` reads every JSON input file.
 """
 
 from __future__ import annotations
@@ -99,6 +100,15 @@ def dumps(obj: Any) -> str:
     per line.  Key order is preserved; a raw complex raises TypeError (see ``payload``).
     """
     return _render(obj, 0) + "\n"
+
+
+def load_json(path: str, what: str) -> Any:
+    """The JSON data in the file at path; ValueError "malformed <what> file" if it is not JSON."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"malformed {what} file {path}: {exc}") from exc
 
 
 def csv_text(header: Sequence[str], rows: Sequence[Sequence[float]]) -> str:

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -176,6 +177,26 @@ def test_path_search_failure_exit_5(capsys, diag_file, tmp_path):
     assert len(data["vertices"]) == 2
 
 
+def test_path_from_an_exact_eigenvalue(capsys, diag_file):
+    code, out = run(capsys, "path", diag_file, "--z", "0,0", "--epsilon", "1")
+    assert code == 0
+    data = json.loads(out)
+    assert data["vertices"] == [[0.0, 0.0], [0.0, 0.0]]
+    assert data["delta"] == np.inf
+    assert data["certificate"]["valid"] is True
+
+
+def test_path_step_failure_exit_5(capsys, shift4_file):
+    with mock.patch("resgrow.pseudo._line_search", return_value=None):
+        code, out = run(capsys, "path", shift4_file, "--z", "0,0", "--epsilon", "0.65")
+    assert code == 5
+    data = json.loads(out)
+    assert data["error"] == "search_failure"
+    assert data["reason"] == "step-failure"
+    assert data["suspected_local_min"] is True
+    assert data["vertices"] == [[0.0, 0.0]]
+
+
 def test_path_outside_set_exit_2(capsys, diag_file):
     assert main(["path", diag_file, "--z", "1,0", "--epsilon", "0.9"]) == 2
     capsys.readouterr()
@@ -246,6 +267,8 @@ def test_grid_pocket_metadata(capsys, tmp_path):
 
 def test_examples_bad_params_exit_2(capsys, tmp_path):
     target = str(tmp_path / "never.json")
+    assert main(["examples", "shift", "--weights", "2,x", "-o", target]) == 2
+    assert "bad weights '2,x' (use complex literals like 2,1 or 1+2j)" in capsys.readouterr().err
     assert main(["examples", "shift", "--weights", "2,0", "-o", target]) == 2
     assert main(["examples", "zigzag", "--n", "1", "-o", target]) == 2
     assert main(["examples", "random", "--n", "0", "--seed", "1", "-o", target]) == 2

@@ -29,9 +29,9 @@ def test_import_does_not_load_scipy():
 
 def test_small_sigma_min_batch_does_not_load_scipy():
     """scipy.linalg, 0.36 s to import, is loaded only when an Operator
-    factors the Schur form of a non-triangular matrix, so one-shot
-    `analyze` and `path` runs on small batches, and batches on a small
-    triangular matrix, do not pay it."""
+    factors the Schur form of a non-diagonal matrix, so one-shot
+    `analyze` and `path` runs on small batches, and batches on a
+    diagonal matrix, do not pay it."""
     below = (
         "zs = np.linspace(0.1, 1.0, 96) + 0.5j; "
         "resgrow.sigma_min_batch(resgrow.random_dense(47, 0), zs); "

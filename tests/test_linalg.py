@@ -591,18 +591,18 @@ def test_sigma_min_batch_dispatch():
     # one point too few, or n one too small: the batched SVD
     assert _svd_batches(a, zs[:63])[1] == [63]
     assert _svd_batches(rg.random_dense(47, 1), zs)[1] == [96]
-    # a triangular A is its own Schur form: a diagonal one takes the
-    # shortcut at any n, a small non-diagonal one the batched SVD
+    # a diagonal A takes the shortcut at any n and batch size, a small
+    # non-diagonal one the batched SVD
     with (
         mock.patch("scipy.linalg.lapack.zgees", side_effect=AssertionError),
         mock.patch.object(linalg, "_inverse_lanczos", side_effect=AssertionError),
     ):
         for n in (4, 10):
             small = rg.zigzag_diagonal(n)
-            vals, sizes = _svd_batches(small, zs)
-            assert sizes == []
-            _assert_matches_svd(small, zs, vals)
-        assert _svd_batches(rg.zigzag_diagonal(4), zs[:63])[1] == [63]
+            for count in (1, 63, 96):
+                vals, sizes = _svd_batches(small, zs[:count])
+                assert sizes == []
+                _assert_matches_svd(small, zs[:count], vals)
         assert _svd_batches(rg.jordan_block(8, 0.0), zs)[1] == [96]
     # inside the unit disk around a Jordan eigenvalue inverse Lanczos
     # settles in a few steps, except where sigma_min underflows and the
@@ -664,3 +664,97 @@ def test_load_matrix_malformed(tmp_path):
     with pytest.raises(ValueError):
         rg.load_matrix(str(path))
 
+
+# --- the raise paths: each LAPACK or accuracy failure forced by a patch ---
+
+
+def _failing(*_args, **_kwargs):
+    raise np.linalg.LinAlgError("forced failure")
+
+
+def test_svd_raises_on_non_convergence():
+    with (
+        mock.patch("numpy.linalg.svd", _failing),
+        pytest.raises(rg.DecompositionError, match="SVD failed to converge: forced failure"),
+    ):
+        svd(np.eye(2))
+
+
+def test_svd_raises_on_reconstruction_error():
+    real_svd = np.linalg.svd
+
+    def off_by_one(m, *args, **kwargs):
+        u, s, vh = real_svd(m, *args, **kwargs)
+        return u, s + 1.0, vh
+
+    with (
+        mock.patch("numpy.linalg.svd", off_by_one),
+        pytest.raises(rg.DecompositionError, match=r"SVD reconstruction error .* exceeds 1\.0e-10"),
+    ):
+        svd(np.eye(2))
+
+
+def test_eigenvalues_raises_on_lapack_failure():
+    with (
+        mock.patch("numpy.linalg.eigvals", _failing),
+        pytest.raises(rg.DecompositionError, match="eigenvalue computation failed: forced failure"),
+    ):
+        rg.eigenvalues(np.eye(2))
+
+
+def test_solve_nearby_raises_on_lu_failure(diag03):
+    solver = rg.ShiftedSolver(diag03, 1.0 + 0j)
+    with (
+        mock.patch("numpy.linalg.solve", _failing),
+        pytest.raises(rg.DecompositionError, match="batched LU solve failed: forced failure"),
+    ):
+        solver.solve_nearby([0.1, 0.2j], [1.0, 1.0])
+
+
+def test_solve_nearby_checks_each_residual(diag03):
+    solver = rg.ShiftedSolver(diag03, 1.0 + 0j)
+    real_solve = np.linalg.solve
+
+    def perturbed(m, b):
+        return real_solve(m, b) + 1e-3
+
+    with (
+        mock.patch("numpy.linalg.solve", perturbed),
+        pytest.raises(rg.DecompositionError, match=r"shifted solve residual .* exceeds its bound"),
+    ):
+        solver.solve_nearby([0.1, 0.2j], [1.0, 1.0])
+
+
+def test_sigma_min_svd_retries_one_matrix_at_a_time():
+    """A batched SVD failure is retried matrix by matrix: the shifts that
+    converge get the batched values, and a shift that fails alone raises
+    DecompositionError naming its z."""
+    a = rg.random_dense(5, 3)
+    zs = np.array([0.5, 1j, -1.0 + 0.25j, 2.0])
+    expected = rg.sigma_min_batch(a, zs)
+    real_svd = np.linalg.svd
+    bad = a - zs[2] * np.eye(5)
+    singles = []
+
+    def stack_fails(m, *args, **kwargs):
+        if m.ndim == 3:
+            _failing()
+        singles.append(m)
+        return real_svd(m, *args, **kwargs)
+
+    with mock.patch("numpy.linalg.svd", stack_fails):
+        vals = rg.sigma_min_batch(a, zs)
+    assert len(singles) == zs.shape[0]
+    assert np.array_equal(vals, expected)
+
+    def bad_one_fails(m, *args, **kwargs):
+        if m.ndim == 3 or np.array_equal(m, bad):
+            _failing()
+        return real_svd(m, *args, **kwargs)
+
+    with (
+        mock.patch("numpy.linalg.svd", bad_one_fails),
+        pytest.raises(rg.DecompositionError) as err,
+    ):
+        rg.sigma_min_batch(a, zs)
+    assert str(err.value) == f"SVD failed to converge at z={zs[2]}: forced failure"

@@ -372,6 +372,37 @@ def test_find_path_iteration_limit(diag03):
     assert err.value.suspected_local_min is False
 
 
+def test_find_path_step_failure(shift4, diag03):
+    """When no direction admits a step, the search stops with the partial
+    path and says whether its last vertex is a local minimum."""
+    assert rg.analyze_point(shift4, 0j).case is rg.GrowthCase.LOCAL_MIN
+    assert rg.analyze_point(diag03, 1.0 + 0j).case is rg.GrowthCase.LINEAR
+    with mock.patch("resgrow.pseudo._line_search", return_value=None):
+        with pytest.raises(rg.SearchError) as at_min:
+            rg.find_path(shift4, 1.3 / 2.0, 0j)
+        with pytest.raises(rg.SearchError) as at_linear:
+            rg.find_path(diag03, 1.25, 1.0 + 0j)
+    for err, z in ((at_min, 0j), (at_linear, 1.0 + 0j)):
+        assert err.value.reason == "step-failure"
+        assert err.value.vertices == (z,)
+    assert at_min.value.suspected_local_min is True
+    assert at_linear.value.suspected_local_min is False
+
+
+@pytest.mark.parametrize(
+    "a, epsilon, z",
+    [(np.diag([0j, 3 + 0j]), 1.0, 0j), (rg.jordan_block(3, 0.5), 0.5, 0.5 + 0j)],
+    ids=["diagonal", "jordan"],
+)
+def test_find_path_from_an_exact_eigenvalue(a, epsilon, z):
+    """At an exact eigenvalue f(z) = delta = inf, and the zero-length path
+    is certified rather than failed on the margin inf - inf."""
+    path, cert = rg.find_path(a, epsilon, z)
+    assert path.vertices == (z, z) and path.delta == np.inf
+    assert cert.valid, cert.failures
+    assert cert.min_f_on_path == np.inf
+
+
 def test_certify_rejects_bad_paths(diag03):
     # flat vertex norms, endpoint far from the spectrum
     bad = rg.PolyPath(

@@ -42,6 +42,8 @@ def test_dumps_trailing_newline_and_inline_scalars():
     text = dumps({"v": [1, 2, 3]})
     assert text.endswith("\n")
     assert '"v": [1, 2, 3]' in text
+    assert dumps({}) == "{}\n"
+    assert dumps({"a": {}}) == '{\n  "a": {}\n}\n'
 
 
 def test_dumps_nested_lists_multiline():
@@ -69,6 +71,8 @@ def test_dumps_rejects_unknown_types():
         dumps({"x": object()})
     with pytest.raises(TypeError):
         dumps({"x": 1 + 2j})  # complex must go through payload first
+    with pytest.raises(TypeError, match="JSON object keys must be strings, got <class 'int'>"):
+        dumps({1: 2.0})
 
 
 def test_dumps_deterministic():

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -113,3 +114,12 @@ def test_rng_id_is_pinned():
     # the identifier names the exact generator recipe; changing the
     # recipe must force a new identifier
     assert rg.RANDOM_DENSE_RNG_ID == "numpy-pcg64/standard-normal-pair/sqrt2"
+
+
+def test_operator_from_inverse_checks_the_round_trip():
+    real_inv = np.linalg.inv
+    with (
+        mock.patch("numpy.linalg.inv", lambda m: 1.001 * real_inv(m)),
+        pytest.raises(rg.DecompositionError, match=r"inverse round-trip error .* is too large"),
+    ):
+        rg.operator_from_inverse(rg.circulant_weighted_shift_inverse([2, 1]))

@@ -2,23 +2,25 @@
 
     python3 tools/sigma_min_crossover.py [--repeats 5]
 
-Prints microseconds per point for the batched SVD route and the inverse
-Lanczos route, the Schur factorization included, for n in {16, 32, 48,
-64, 96, 128} and batch sizes P in {1, 17, 33, 64, 96, 258}.  Each matrix
-is ``random_dense(n, n)``; the points have Gaussian parts of standard
-deviation 0.5·sqrt(n), the scale of the benchmark's resolvent points.
-Times are medians over the repeats, on one BLAS thread.  The thresholds
-``_SCHUR_MIN_N`` and ``_SCHUR_MIN_POINTS`` in ``resgrow.linalg`` are
-read off this table.
+Prints microseconds per point for the batched SVD route, the inverse
+Lanczos route with the Schur factorization included, and inverse Lanczos
+with T factored once outside the timing, as an Operator reused across
+batches pays for it, for n in {16, 32, 48, 64, 96, 128} and batch sizes
+P in {1, 17, 33, 64, 96, 258}.  Each matrix is ``random_dense(n, n)``;
+the points have Gaussian parts of standard deviation 0.5·sqrt(n), the
+scale of the benchmark's resolvent points.  Times are medians over the
+repeats, on one BLAS thread.  The thresholds ``_SCHUR_MIN_N`` and
+``_SCHUR_MIN_POINTS`` in ``resgrow.linalg`` are read off this table.
 
 A second table times the batched SVD against the route
 ``sigma_min_batch`` takes at P = 96, its choice of route included.  At
 n = 64 that is inverse Lanczos on random_dense, Jordan and Grcar, where
 the singular values cluster, so Lanczos converges slowly and some points
-reach the step cap and are redone by the SVD.  zigzag has a diagonal
-Schur form and takes the min |t_ii - z| formula at every n, so its rows
-at n = 4, 16 and 32 show what that formula saves below ``_SCHUR_MIN_N``.
-Its points have the same Gaussian scale, 0.5·sqrt(64) = 4, or scale 1.
+reach the step cap and are redone by the SVD.  zigzag is diagonal and
+takes the min |a_ii - z| formula at every n and batch size, without a
+Schur factorization, so its rows at n = 4, 16 and 32 show what that
+formula saves below ``_SCHUR_MIN_N``.  Its points have the same Gaussian
+scale, 0.5·sqrt(64) = 4, or scale 1.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from resgrow import (  # noqa: E402
     sigma_min_batch,
     zigzag_diagonal,
 )
-from resgrow.linalg import _sigma_min_lanczos, _sigma_min_svd  # noqa: E402
+from resgrow.linalg import _inverse_lanczos, _sigma_min_svd  # noqa: E402
 
 SIZES = (16, 32, 48, 64, 96, 128)
 BATCHES = (1, 17, 33, 64, 96, 258)
@@ -60,7 +62,7 @@ STRUCTURED = {
 def lanczos_route(a, zs):
     """The inverse Lanczos route, its Schur factorization and its SVD redo
     of unsettled points included, as one chunk of ``sigma_min_batch`` runs it."""
-    return _sigma_min_lanczos(Operator(a).schur, a, zs)
+    return _inverse_lanczos(Operator(a).schur, a, zs)
 
 
 def us_per_point(route, a, zs, repeats: int) -> float:
@@ -72,13 +74,13 @@ def us_per_point(route, a, zs, repeats: int) -> float:
     return 1e6 * statistics.median(times) / zs.shape[0]
 
 
-def cell(a, zs, repeats: int, route=lanczos_route) -> str:
-    """'svd / route' microseconds per point, right-aligned in 16 columns."""
-    svd = us_per_point(_sigma_min_svd, a, zs, repeats)
-    other = us_per_point(route, a, zs, repeats)
+def cell(a, zs, repeats: int, *routes) -> str:
+    """'svd / route / ...' microseconds per point for each route, by default
+    ``lanczos_route``, right-aligned in 8 columns per time."""
+    routes = (_sigma_min_svd, *(routes or (lanczos_route,)))
+    times = [us_per_point(route, a, zs, repeats) for route in routes]
     # two decimals below 10 us: the Weyl formula takes under 1 us per point
-    svd, other = (f"{t:.{0 if t >= 10 else 2}f}" for t in (svd, other))
-    return f"{svd:>7} /{other:>6}".rjust(16)
+    return " /".join(f"{t:.{0 if t >= 10 else 2}f}".rjust(6) for t in times).rjust(8 * len(times))
 
 
 def main(argv=None) -> None:
@@ -88,14 +90,16 @@ def main(argv=None) -> None:
     rng = np.random.default_rng(0)
     # the first Schur call imports scipy.linalg; keep that out of the table
     lanczos_route(random_dense(16, 0), np.zeros(1, dtype=complex))
-    print(f"OPENBLAS_NUM_THREADS=1, median of {args.repeats}, us per point (svd / lanczos)")
-    print("    n " + "".join(f"{f'P={p}':>16}" for p in BATCHES))
+    head = "us per point (svd / lanczos / lanczos with T cached)"
+    print(f"OPENBLAS_NUM_THREADS=1, median of {args.repeats}, {head}")
+    print("    n " + "".join(f"{f'P={p}':>24}" for p in BATCHES))
     for n in SIZES:
         a = random_dense(n, n)
+        cached = partial(_inverse_lanczos, Operator(a).schur)
         cells = []
         for p in BATCHES:
             zs = 0.5 * np.sqrt(n) * (rng.standard_normal(p) + 1j * rng.standard_normal(p))
-            cells.append(cell(a, zs, args.repeats))
+            cells.append(cell(a, zs, args.repeats, lanczos_route, cached))
         print(f"{n:>5} " + "".join(cells))
     print("\nP = 96, us per point (svd / sigma_min_batch)")
     print(f"{'matrix':<22}{'scale 4':>16}{'scale 1':>16}")
