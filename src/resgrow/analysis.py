@@ -22,7 +22,7 @@ import numpy as np
 
 from .config import DEFAULT_CONFIG, RunConfig
 from .linalg import ShiftedSolver, as_operator, canonical_phase, spectral_distance
-from .serialize import payload
+from .serialize import Result
 
 
 class GrowthCase(enum.Enum):
@@ -39,7 +39,7 @@ class GrowthCase(enum.Enum):
 
 
 @dataclass(frozen=True)
-class ResolventPoint:
+class ResolventPoint(Result):
     """Full analysis of the resolvent at one point.
 
     ``theta0`` is the steepest-growth direction angle in (-pi, pi]
@@ -60,9 +60,6 @@ class ResolventPoint:
     theta0: float | None
     spectral_distance: float
     degenerate: bool
-
-    def to_dict(self) -> dict:
-        return payload(self)
 
 
 def resolvent_norm(a, z: complex, cfg: RunConfig = DEFAULT_CONFIG) -> float:

@@ -27,7 +27,7 @@ from .linalg import (
     sigma_min_batch,
     spectral_distance,
 )
-from .serialize import csv_text, payload
+from .serialize import Result, csv_text, payload
 
 # samples whose excess over the base norm is below this (relative to the
 # base norm) are treated as numerical noise and excluded from fits
@@ -44,32 +44,33 @@ PROFILE_EXPONENT_RANGE = (1.7, 2.3)
 _AUTO_HALVINGS = 10
 
 
-def _fit_power(dists, excesses, curvature: bool = True) -> tuple[float, float] | None:
+def _fit_power(
+    dists, excesses, floor: float, curvature: bool = True
+) -> tuple[float | None, float | None]:
     """Least-squares power-law fit excess ~ C * d**delta on log-log data.
 
-    With curvature and four or more samples a nuisance term linear in d
-    is included: the resolvent norm is not an exact power law away from
-    d -> 0 (on a normal matrix the excess is d/(dist*(dist-d)), already
-    ~12% steeper than linear in log-log over a quarter-distance
-    segment), and the extra term absorbs that curvature so delta
-    estimates the d -> 0 growth order.  Returns (delta, C), or None
-    below two samples.
+    Samples whose excess is at or below floor are numerical noise and
+    are dropped first.  With curvature and four or more samples left a
+    nuisance term linear in d is included: the resolvent norm is not an
+    exact power law away from d -> 0 (on a normal matrix the excess is
+    d/(dist*(dist-d)), already ~12% steeper than linear in log-log over
+    a quarter-distance segment), and the extra term absorbs that
+    curvature so delta estimates the d -> 0 growth order.  Returns
+    (delta, C), or (None, None) when fewer than two samples remain.
     """
-    k = dists.shape[0]
+    usable = excesses > floor
+    dists, k = dists[usable], int(np.count_nonzero(usable))
     if k < 2:
-        return None
-    x = np.log(dists)
-    y = np.log(excesses)
-    cols = [np.ones(k), x]
+        return None, None
+    cols = [np.ones(k), np.log(dists)]
     if curvature and k >= 4:
         cols.append(dists)
-    design = np.stack(cols, axis=1)
-    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
+    coef, *_ = np.linalg.lstsq(np.stack(cols, axis=1), np.log(excesses[usable]), rcond=None)
     return float(coef[1]), float(np.exp(coef[0]))
 
 
 @dataclass(frozen=True)
-class SegmentReport:
+class SegmentReport(Result):
     """Sampled resolvent norms on the segment [z, z_prime].
 
     samples are (t, zeta, norm) triples with t equispaced on [0, 1].
@@ -140,8 +141,7 @@ def sample_segment(
     base = point.norm
     excesses = norms[1:] - base
     dists = np.abs(zetas[1:] - point.z)
-    usable = excesses > EXCESS_FLOOR_REL * base
-    fit = _fit_power(dists[usable], excesses[usable])
+    delta, c = _fit_power(dists, excesses, EXCESS_FLOOR_REL * base)
 
     return SegmentReport(
         z=point.z,
@@ -152,8 +152,8 @@ def sample_segment(
             for t, zeta, norm in zip(ts, zetas, norms)
         ),
         base_norm=base,
-        fitted_delta=None if fit is None else fit[0],
-        fitted_C=None if fit is None else fit[1],
+        fitted_delta=delta,
+        fitted_C=c,
         min_excess=float(np.min(excesses)),
         all_in_resolvent_set=all_in,
     )
@@ -183,16 +183,13 @@ def sample_segment_auto(
 
 
 @dataclass(frozen=True)
-class BoundCheck:
+class BoundCheck(Result):
     """Outcome of checking norm(zeta) >= base + C |zeta - z|^delta."""
 
     passed: bool
     delta: int
     constant: float | None
     witness: dict | None
-
-    def to_dict(self) -> dict:
-        return payload(self)
 
 
 def verify_growth_bound(report: SegmentReport, expected_case: GrowthCase) -> BoundCheck:
@@ -216,7 +213,7 @@ def verify_growth_bound(report: SegmentReport, expected_case: GrowthCase) -> Bou
 
 
 @dataclass(frozen=True)
-class LocalMinProbe:
+class LocalMinProbe(Result):
     """Polar probe of a candidate local minimum.
 
     profile[i] is the minimum over all probed angles of
@@ -230,9 +227,6 @@ class LocalMinProbe:
     fitted_exponent: float | None
     fitted_constant: float | None
     min_excess: float
-
-    def to_dict(self) -> dict:
-        return payload(self)
 
 
 def local_min_probe(
@@ -272,37 +266,28 @@ def local_min_probe(
     profile = excess.min(axis=1)
     min_excess = float(profile.min())
 
-    usable = profile > EXCESS_FLOOR_REL * base
-    fit = _fit_power(radii[usable], profile[usable])
+    exponent, constant = _fit_power(radii, profile, EXCESS_FLOOR_REL * base)
     lo, hi = PROFILE_EXPONENT_RANGE
-    ok = (
-        min_excess >= 0.0
-        and fit is not None
-        and lo <= fit[0] <= hi
-        and fit[1] > 0.0
-    )
+    ok = min_excess >= 0.0 and exponent is not None and lo <= exponent <= hi and constant > 0.0
     return LocalMinProbe(
         is_local_min=bool(ok),
         base_norm=base,
         radii=tuple(float(r) for r in radii),
         profile=tuple(float(p) for p in profile),
-        fitted_exponent=None if fit is None else fit[0],
-        fitted_constant=None if fit is None else fit[1],
+        fitted_exponent=exponent,
+        fitted_constant=constant,
         min_excess=min_excess,
     )
 
 
 @dataclass(frozen=True)
-class TaylorCheck:
+class TaylorCheck(Result):
     """Measured remainder decay of the second-order expansion of
     ||R(zeta) psi||^2 along one direction."""
 
     steps: tuple[float, ...]
     residuals: tuple[float, ...]
     fitted_order: float
-
-    def to_dict(self) -> dict:
-        return payload(self)
 
 
 def default_taylor_steps(start: float = 1e-2, levels: int = 7) -> tuple[float, ...]:
@@ -369,5 +354,5 @@ def taylor_remainder_check(
     # plain log-log slope over the leading residuals above the floor, at least
     # two (1e-300 guards log(0)): the steps make power-law curvature negligible
     keep = slice(max(2, int(np.cumprod(residuals > EXCESS_FLOOR_REL * base_sq).sum())))
-    order, _ = _fit_power(hs[keep], np.maximum(residuals[keep], 1e-300), curvature=False)
+    order, _ = _fit_power(hs[keep], np.maximum(residuals[keep], 1e-300), 0.0, curvature=False)
     return TaylorCheck(steps=steps, residuals=tuple(map(float, residuals)), fitted_order=order)

@@ -18,7 +18,7 @@ from .config import DEFAULT_CONFIG, RunConfig, _integer, _point, _real
 from .errors import DomainError, NearSingularError, SearchError
 from .linalg import _complex_array, as_operator, circle_directions
 from .linalg import norms_from_sigma, sigma_min_batch
-from .serialize import csv_text, payload
+from .serialize import Result, csv_text, payload
 
 # fraction of the spectral distance at which the escape fan is probed
 _FAN_PROBE_FRAC = 0.25
@@ -167,7 +167,7 @@ def grid_metadata(grid: PseudoGrid, epsilon: float) -> dict:
 
 
 @dataclass(frozen=True)
-class PolyPath:
+class PolyPath(Result):
     """Polygonal path x_1, ..., x_m, lambda inside a pseudospectrum.
 
     The first vertex is the query point, the last an eigenvalue (also
@@ -195,7 +195,7 @@ class PolyPath:
 
 
 @dataclass(frozen=True)
-class PathCertificate:
+class PathCertificate(Result):
     """Proof that a path stays inside the epsilon-pseudospectrum.
 
     ``samples`` counts the sigma_min evaluations the certificate made
@@ -210,9 +210,6 @@ class PathCertificate:
     endpoint_distance: float
     valid: bool
     failures: tuple[str, ...]
-
-    def to_dict(self) -> dict:
-        return payload(self)
 
 
 def certify_path(a, path: PolyPath, cfg: RunConfig = DEFAULT_CONFIG) -> PathCertificate:
@@ -260,7 +257,7 @@ def certify_path(a, path: PolyPath, cfg: RunConfig = DEFAULT_CONFIG) -> PathCert
     while True:
         length = np.abs(q - p)
         open_ = 0.5 * (sp + sq + length) + slack > s_req
-        if np.any(np.maximum(sp, sq) > s_req) or np.any(open_ & (length <= slack)):
+        if max_sigma > s_req or np.any(open_ & (length <= slack)):
             refuted = True
             break
         count = int(np.count_nonzero(open_))

@@ -7,7 +7,9 @@ other run-dependent data ever enter a payload.
 
 One rule, ``payload``, turns every result into plain data: a result's
 payload is its fields in declaration order, each complex as [re, im].
-``load_json`` reads every JSON input file.
+Every result type inherits ``to_dict`` from ``Result``, which returns
+that payload; ``SegmentReport`` and ``PolyPath`` override it with their
+documented layouts.  ``load_json`` reads every JSON input file.
 """
 
 from __future__ import annotations
@@ -55,6 +57,13 @@ def payload(obj: Any) -> Any:
     if isinstance(obj, enum.Enum):
         return obj.value
     return obj
+
+
+class Result:
+    """Base of every result dataclass: ``to_dict`` is its ``payload``."""
+
+    def to_dict(self) -> dict:
+        return payload(self)
 
 
 def _render(obj: Any, level: int) -> str:

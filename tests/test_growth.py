@@ -7,6 +7,7 @@ import resgrow as rg
 from resgrow import growth, linalg
 from resgrow.analysis import _growth_quantities
 from resgrow.growth import EXCESS_FLOOR_REL, _fit_power
+from resgrow.serialize import Result, payload
 
 
 @pytest.fixture(scope="module")
@@ -17,11 +18,20 @@ def diag_point(diag03):
 def test_fit_power_recovers_exponent():
     d = np.linspace(0.01, 0.2, 12)
     for delta, c in [(1.0, 0.5), (2.0, 3.0)]:
-        fit = _fit_power(d, c * d**delta)
-        assert fit is not None
+        fit = _fit_power(d, c * d**delta, 0.0)
         assert fit[0] == pytest.approx(delta, abs=1e-8)
         assert fit[1] == pytest.approx(c, rel=1e-6)
-    assert _fit_power(d[:1], d[:1]) is None
+    assert _fit_power(d[:1], d[:1], 0.0) == (None, None)
+
+
+def test_fit_power_drops_samples_at_the_floor():
+    """A sample exactly at the floor is noise: it is dropped, so two samples
+    above the floor give a fit and one leaves (None, None)."""
+    d = np.array([0.1, 0.2, 0.4])
+    delta, c = _fit_power(d, np.array([1.0, 2.0, 4.0]), 1.0)
+    assert delta == pytest.approx(1.0, abs=1e-12) and c == pytest.approx(10.0, rel=1e-12)
+    assert _fit_power(d, np.array([1.0, 1.0, 4.0]), 1.0) == (None, None)
+    assert _fit_power(d[:2], np.array([0.5, 3.0]), 1.0) == (None, None)
 
 
 def test_segment_closed_form_norms(diag03, diag_point):
@@ -160,6 +170,26 @@ def test_growth_results_to_dict_key_order(diag03, diag_point, shift4):
     ).to_dict()
     assert list(taylor) == ["steps", "residuals", "fitted_order"]
     assert isinstance(taylor["steps"], list)
+
+
+def test_plain_results_inherit_result_to_dict(diag03, diag_point, shift4):
+    """The five results without a layout of their own define no to_dict:
+    each is ``Result.to_dict``, the result's payload."""
+    report = rg.sample_segment(diag03, diag_point, 0.25, 8)
+    results = [
+        diag_point,
+        rg.verify_growth_bound(report, rg.GrowthCase.LINEAR),
+        rg.local_min_probe(shift4, 0j, 0.05),
+        rg.taylor_remainder_check(
+            diag03, 1.0 + 0j, diag_point.psi, diag_point.theta0, rg.default_taylor_steps()
+        ),
+        rg.find_path(diag03, 1.25, 1.0 + 0j)[1],
+    ]
+    for result in results:
+        assert type(result).to_dict is Result.to_dict
+        assert result.to_dict() == payload(result)
+    for layout in (rg.SegmentReport, rg.PolyPath):
+        assert issubclass(layout, Result) and "to_dict" in vars(layout)
 
 
 def test_segment_report_serialization(diag03, diag_point):

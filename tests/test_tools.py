@@ -1,4 +1,6 @@
+import contextlib
 import importlib.util
+import io
 import os
 import subprocess
 import sys
@@ -8,6 +10,7 @@ from unittest import mock
 import numpy as np
 
 import resgrow as rg
+from resgrow import linalg
 
 ROOT = Path(__file__).resolve().parent.parent
 TOOLS = ROOT / "tools"
@@ -37,6 +40,15 @@ def test_sigma_min_crossover_cell_runs():
     assert float(svd_us) > 0.0 and float(schur_us) > 0.0
 
 
+def test_sigma_min_crossover_counts_svd_redos():
+    """Inverse Lanczos overflows where sigma_min underflows, next to a Jordan
+    eigenvalue, and hands those points to the SVD; the tool counts them."""
+    tool = _load_tool("sigma_min_crossover")
+    a = rg.jordan_block(64, 0.5)
+    zs = 0.5 + np.array([0.5, 0.5j, 1e-4, 1e-5j, -1e-6])
+    assert tool.svd_redos(rg.Operator(a).schur, a, zs) == 3
+
+
 def test_payload_hashes_cli_group_is_deterministic(tmp_path, monkeypatch):
     """Two passes of the hash tool's CLI runs print identical lines; the
     runs exit as intended and leave the working directory as it was."""
@@ -50,6 +62,26 @@ def test_payload_hashes_cli_group_is_deterministic(tmp_path, monkeypatch):
     # bound (4) and a search failure (5) are covered
     assert sorted(set(codes)) == ["0", "2", "3", "4", "5"]
     assert os.getcwd() == str(tmp_path) and not os.listdir(tmp_path)
+
+
+def test_payload_hashes_schur_runs_take_the_schur_routes(tmp_path, monkeypatch):
+    """The hash tool's Schur-route runs stay there: random_dense(48, 3)
+    takes inverse Lanczos, and the unitary shift with 48 unit weights the
+    Weyl formula on T, with neither Lanczos nor the batched SVD.  A
+    threshold change that moves them off those routes breaks this test."""
+    monkeypatch.chdir(tmp_path)
+    tool = _load_tool("payload_hashes")
+    calls = {}
+    for argv in tool.SCHUR_RUNS:
+        with (
+            mock.patch.object(linalg, "_inverse_lanczos", wraps=linalg._inverse_lanczos) as lanczos,
+            mock.patch.object(linalg, "_sigma_min_svd", wraps=linalg._sigma_min_svd) as svd,
+            contextlib.redirect_stdout(io.StringIO()),
+        ):
+            assert tool.cli_main(argv) == 0
+        calls[" ".join(argv[:2])] = (lanczos.call_count, svd.call_count)
+    assert calls["localmin r48.json"][0] > 0 and calls["grid r48.json"][0] > 0
+    assert calls["grid u48.json"] == (0, 0)
 
 
 def test_bench_tracer_targets_resolve():

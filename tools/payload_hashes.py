@@ -18,6 +18,10 @@ prints the same lines.  The groups are
   every subcommand, every exit code (a near-singular report, a failed
   growth bound with its witness, a domain error, a search-failure
   report), ``--output``, ``grid --meta`` and the zigzag4 grid at 160^2.
+  The last runs, ``SCHUR_RUNS``, reach the Schur-form routes of
+  ``sigma_min_batch`` at n = 48: inverse Lanczos for a localmin probe
+  and a grid on ``random_dense(48, 3)``, and the Weyl formula on T for a
+  grid on the unitary shift with 48 unit weights.
 
 BLAS runs on one thread.  The whole run takes a few seconds.
 """
@@ -89,6 +93,17 @@ CLI_RUNS = (
     ["taylor", "diag.json", "--z", "1,0", "--steps", "0.01,0.005,0.0025,0.00125"],
     ["localmin", "s4.json", "--z", "0,0", "--r0", "0.05", "--radial", "4", "--angular", "8"],
 )
+# n = 48 and batches of 64 points or more: the routes that factor T
+SCHUR_RUNS = (
+    ["examples", "random", "--n", "48", "--seed", "3", "-o", "r48.json"],
+    ["localmin", "r48.json", "--z", "0.5,0.5", "--r0", "0.25"],
+    ["grid", "r48.json", "--bounds=-8,8,-8,8", "--nx", "12", "--ny", "12", "--epsilon", "0.5",
+     "--csv", "g48.csv"],
+    ["examples", "shift", "--weights", ",".join(["1"] * 48), "-o", "u48.json"],
+    ["grid", "u48.json", "--bounds=-1.5,1.5,-1.5,1.5", "--nx", "10", "--ny", "10",
+     "--epsilon", "0.3", "--csv", "gu48.csv"],
+)
+CLI_RUNS += SCHUR_RUNS
 
 
 def _sha(text: str) -> str:
