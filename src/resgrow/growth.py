@@ -99,7 +99,7 @@ class SegmentReport(Result):
 
     def to_csv(self) -> str:
         rows = [(t, zeta.real, zeta.imag, norm) for t, zeta, norm in self.samples]
-        return csv_text(("t", "re", "im", "norm"), rows)
+        return csv_text(("t", "re", "im", "norm"), np.reshape(rows, (-1, 4)).T)
 
 
 def sample_segment(

@@ -16,7 +16,8 @@ form T: min |t_ii - z| when T is diagonal, else triangular solves with T.
 
 from __future__ import annotations
 
-from functools import cached_property, partial
+import os
+from functools import cache, cached_property, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -189,12 +190,12 @@ class Operator:
 
     @cached_property
     def _sigma_route(self):
-        """``sigma_min_batch``'s route for a diagonal A or a large batch: a
-        function of one chunk.  T is factored only where inverse Lanczos pays."""
+        """``sigma_min_batch``'s route for a diagonal A or a large batch: a function of
+        one chunk, or None for the batched SVD.  T is factored only where Lanczos pays."""
         a, n = self.matrix, self.matrix.shape[0]
         t = a if self._diagonal else self.schur if n >= _SCHUR_MIN_N else None
         if t is None:
-            return partial(_sigma_min_svd, a)
+            return None
         off = float(np.linalg.norm(np.triu(t, 1)))
         if off <= n * np.finfo(float).eps * np.linalg.norm(t):
             d = np.diagonal(t)[:, None]
@@ -329,32 +330,57 @@ def sigma_min_batch(a, zs) -> np.ndarray:
 
     Never raises on singularity: exact hits store 0 (in Lanczos, z = some
     t_ii).  One loop hands the route chunks of points whose temporaries
-    stay below about ``_CHUNK_BYTES``.
+    stay below about ``_CHUNK_BYTES``; on the SVD route, a batch of at least
+    ``_SPLIT_MIN_POINTS`` points runs in at least one chunk per CPU of the
+    process on a thread pool.  numpy's SVD releases the GIL and factors
+    each matrix by itself, so the values are bitwise those of one thread.
     """
     op = as_operator(a)
     zs = _complex_array("zs", zs, 1, low=0)
-    many = zs.shape[0] >= _SCHUR_MIN_POINTS
-    route = op._sigma_route if many or op._diagonal else partial(_sigma_min_svd, op.matrix)
-    out = np.empty(zs.shape[0], dtype=float)
-    for part in _chunks(op.matrix.shape[0], zs.shape[0]):
-        out[part] = route(zs[part])
+    count, n = zs.shape[0], op.matrix.shape[0]
+    route = op._sigma_route if count >= _SCHUR_MIN_POINTS or op._diagonal else None
+    workers = _workers() if route is None and count >= _SPLIT_MIN_POINTS else 1
+    route = route or partial(_sigma_min_svd, op.matrix)
+    out = np.empty(count, dtype=float)
+    run = _pool().map if workers > 1 else map
+    for part, values in run(lambda part: (part, route(zs[part])), _chunks(n, count, workers)):
+        out[part] = values
     return out
 
 
-def _chunks(n: int, count: int):
-    """Slices of range(count); a stack of n x n matrices per slice fits ``_CHUNK_BYTES``."""
-    step = max(1, _CHUNK_BYTES // (16 * n * n))
+def _chunks(n: int, count: int, workers: int = 1):
+    """At least one slice of range(count) per worker; workers' n x n stacks fit ``_CHUNK_BYTES``."""
+    step = max(1, min(-(-count // workers), _CHUNK_BYTES // (16 * n * n * workers)))
     return (slice(start, start + step) for start in range(0, count, step))
 
 
+def _workers() -> int:
+    """How many CPUs this process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+@cache
+def _pool():
+    """The thread pool, made on first use (importing concurrent.futures takes
+    about 5 ms); a forked child, without its parent's threads, makes its own."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(_workers(), thread_name_prefix="resgrow")
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_pool.cache_clear)
+
+
 # A diagonal A aside, the batched SVD beats factoring T plus inverse Lanczos below either
-# size (tools/sigma_min_crossover.py); then the Ritz value settling tolerance, the Lanczos
-# step cap before the SVD takes over, and the bound on the temporaries of one chunk of points.
+# size (tools/sigma_min_crossover.py); the Ritz value settling tolerance; the Lanczos step
+# cap; the bound on one chunk's temporaries; the batch size from which the split SVD pays.
 _SCHUR_MIN_N = 48
 _SCHUR_MIN_POINTS = 64
 _LANCZOS_REL = 1e-14
 _LANCZOS_MAX_ITER = 24
 _CHUNK_BYTES = 1 << 26
+_SPLIT_MIN_POINTS = 1024
 
 
 def _solve_upper(t: np.ndarray, dg: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -74,9 +74,8 @@ class PseudoGrid:
 
     def to_csv(self) -> str:
         """One (re, im, sigma_min) row per cell, re-major."""
-        re = np.repeat(self.centers_re, self.ny)
-        im = np.tile(self.centers_im, self.nx)
-        return csv_text(("re", "im", "sigma_min"), np.column_stack((re, im, self.values.ravel())))
+        re, im = self.centers_re[:, None], self.centers_im[None, :]
+        return csv_text(("re", "im", "sigma_min"), (re, im, self.values))
 
 
 def grid_sigma_min(
@@ -100,15 +99,7 @@ def grid_sigma_min(
     im = _cell_centers(im_min, im_max, ny)
     zs = (re[:, None] + 1j * im[None, :]).ravel()
     values = sigma_min_batch(a, zs).reshape(nx, ny)
-    return PseudoGrid(
-        re_min=re_min,
-        re_max=re_max,
-        im_min=im_min,
-        im_max=im_max,
-        nx=nx,
-        ny=ny,
-        values=values,
-    )
+    return PseudoGrid(re_min, re_max, im_min, im_max, nx, ny, values)
 
 
 @dataclass(frozen=True)

@@ -17,20 +17,19 @@ from __future__ import annotations
 import dataclasses
 import enum
 import json
-import math
 from typing import Any, Sequence
 
 import numpy as np
 
 
+def _spelled(text: str) -> str:
+    """``%.17g`` text with inf and nan spelled as in payloads; no finite number's text has them."""
+    return text.replace("inf", "Infinity").replace("nan", "NaN")
+
+
 def format_float(x: float) -> str:
     """Render a float with 17 significant digits (round-trip exact)."""
-    x = float(x)
-    if math.isnan(x):
-        return "NaN"
-    if math.isinf(x):
-        return "Infinity" if x > 0 else "-Infinity"
-    return format(x, ".17g")
+    return _spelled(format(float(x), ".17g"))
 
 
 def complex_pair(z: complex) -> list[float]:
@@ -120,15 +119,23 @@ def load_json(path: str, what: str) -> Any:
             raise ValueError(f"malformed {what} file {path}: {exc}") from exc
 
 
-def csv_text(header: Sequence[str], rows: Sequence[Sequence[float]]) -> str:
-    """Render numeric rows as CSV with the 17-digit float format.
+def csv_text(header: Sequence[str], columns: Sequence) -> str:
+    """Render numeric columns as CSV, each float as format_float renders it.
 
-    The whole table is formatted in one ``%.17g`` pass.  That writes
-    inf and nan, which are then spelled as format_float spells them; no
-    finite ``%.17g`` output contains those letters.
+    The columns, one per header name, broadcast to one shape, and each
+    index of that shape, in C order, is one row.  A column of that whole
+    shape is formatted in the one ``%.17g`` pass over the rows; a smaller
+    one has each of its entries formatted once, so a grid's re and im
+    columns of shapes (nx, 1) and (1, ny) cost nx and ny formats.
     """
-    table = np.asarray(rows, dtype=float)
-    line = ",".join(["%.17g"] * table.shape[-1]) + "\n"
-    body = (line * table.shape[0]) % tuple(table.ravel().tolist())
-    body = body.replace("inf", "Infinity").replace("nan", "NaN")
-    return ",".join(header) + "\n" + body
+    columns = [np.asarray(column, dtype=float) for column in columns]
+    shape = np.broadcast_shapes(*(column.shape for column in columns))
+    cells = np.empty(shape + (len(columns),), dtype=object)
+    line = ",".join("%.17g" if column.shape == shape else "%s" for column in columns) + "\n"
+    for j, column in enumerate(columns):
+        if column.shape != shape:  # format each entry once; broadcasting repeats the text
+            text = ("%.17g\n" * column.size) % tuple(column.ravel().tolist())
+            column = np.array(text.split(), dtype=object).reshape(column.shape)
+        cells[..., j] = column
+    body = (line * (cells.size // len(columns))) % tuple(cells.ravel().tolist())
+    return ",".join(header) + "\n" + _spelled(body)

@@ -1,5 +1,9 @@
 import json
 import math
+import multiprocessing
+import os
+import sys
+import threading
 from decimal import Decimal
 from unittest import mock
 
@@ -723,6 +727,155 @@ def test_solve_nearby_checks_each_residual(diag03):
         pytest.raises(rg.DecompositionError, match=r"shifted solve residual .* exceeds its bound"),
     ):
         solver.solve_nearby([0.1, 0.2j], [1.0, 1.0])
+
+
+def _svd_threads(a, zs):
+    """sigma_min_batch(a, zs) and the name of the thread of every SVD route call."""
+    names, real = [], linalg._sigma_min_svd
+
+    def recording(a, zs):
+        names.append(threading.current_thread().name)
+        return real(a, zs)
+
+    with mock.patch.object(linalg, "_sigma_min_svd", recording):
+        return rg.sigma_min_batch(a, zs), names
+
+
+def _split_points(a, seed: int, count: int = 0) -> np.ndarray:
+    """count points (default: just above the split floor), with exact hits
+    of a's first eigenvalue spread over the slices."""
+    rng = np.random.default_rng(seed)
+    count = count or linalg._SPLIT_MIN_POINTS + 37
+    zs = rng.standard_normal(count) + 1j * rng.standard_normal(count)
+    zs[::97] = rg.eigenvalues(a)[0]
+    return zs
+
+
+@pytest.mark.parametrize(
+    "a", [rg.jordan_block(4, 0.5), rg.jordan_block(8, 0.0), rg.random_dense(32, 2)]
+)
+def test_split_sigma_min_batch_is_bitwise_one_thread(monkeypatch, a):
+    """A batch at or above the split floor on the SVD route runs in one
+    slice per CPU on the pool's threads, also when _CHUNK_BYTES cuts it
+    into many slices, and its values equal the one-thread loop's bit for bit."""
+    n, zs = a.shape[0], _split_points(a, a.shape[0])
+    monkeypatch.setattr(linalg, "_workers", lambda: 1)
+    serial, names = _svd_threads(a, zs)
+    assert names == [threading.current_thread().name]
+    monkeypatch.setattr(linalg, "_workers", lambda: 2)
+    split, names = _svd_threads(a, zs)
+    assert np.array_equal(split, serial) and len(names) == 2
+    assert all(name.startswith("resgrow") for name in names)
+    monkeypatch.setattr(linalg, "_CHUNK_BYTES", 2 * 7 * 16 * n * n)
+    split, names = _svd_threads(a, zs)
+    assert np.array_equal(split, serial) and len(names) == -(-zs.shape[0] // 7)
+    if n == 8:  # the Jordan block's exact hits
+        assert np.all(split[::97] == 0.0)
+
+
+def test_sigma_min_batch_below_the_floor_starts_no_thread(monkeypatch):
+    """A batch below the split floor, and a large batch on any route but
+    the SVD, runs on the calling thread and never asks for the pool."""
+    monkeypatch.setattr(linalg, "_workers", lambda: 2)
+    monkeypatch.setattr(linalg, "_pool", mock.Mock(side_effect=AssertionError))
+    threads = threading.active_count()
+    a = rg.jordan_block(8, 0.0)
+    zs = _split_points(a, 1)
+    vals, names = _svd_threads(a, zs[: linalg._SPLIT_MIN_POINTS - 1])
+    assert names == [threading.current_thread().name]
+    _assert_matches_svd(a, zs[: linalg._SPLIT_MIN_POINTS - 1], vals)
+    # the min |a_ii - z| formula, Weyl on a normal T and inverse Lanczos
+    unitary = rg.operator_from_inverse(rg.circulant_weighted_shift_inverse([1.0] * 48))
+    for other in (rg.zigzag_diagonal(10), unitary, rg.random_dense(48, 3)):
+        assert _svd_threads(other, zs)[1] == []
+    assert threading.active_count() == threads
+
+
+def test_split_sigma_min_batch_raises_like_one_thread(monkeypatch):
+    """An SVD failure in the second slice raises the DecompositionError of
+    the one-thread loop, naming the same z; with a failure in each slice
+    both name the first."""
+    a = rg.jordan_block(4, 0.0)
+    zs = _split_points(a, 2)
+    real_svd = np.linalg.svd
+
+    def errors(bad):
+        shifted = [a - zs[k] * np.eye(4) for k in bad]
+
+        def fails(m, *args, **kwargs):
+            if any((m == b).all(axis=(-2, -1)).any() for b in shifted):
+                _failing()
+            return real_svd(m, *args, **kwargs)
+
+        messages = []
+        for workers in (1, 2):
+            monkeypatch.setattr(linalg, "_workers", lambda: workers)
+            with mock.patch("numpy.linalg.svd", fails), pytest.raises(rg.DecompositionError) as err:
+                rg.sigma_min_batch(a, zs)
+            messages.append(str(err.value))
+        return messages
+
+    last = zs.shape[0] - 3
+    assert errors([last]) == [f"SVD failed to converge at z={zs[last]}: forced failure"] * 2
+    assert errors([last, 5]) == [f"SVD failed to converge at z={zs[5]}: forced failure"] * 2
+
+
+def test_split_batches_from_many_threads(monkeypatch):
+    """Six threads, more than the pool's, send split batches at once, the
+    first of them racing to make the pool; each gets the one-thread values."""
+    a = rg.jordan_block(4, 0.5)
+    zs = _split_points(a, 4)
+    monkeypatch.setattr(linalg, "_workers", lambda: 1)
+    expected = rg.sigma_min_batch(a, zs)
+    monkeypatch.setattr(linalg, "_workers", lambda: 2)
+    linalg._pool.cache_clear()
+    results = [None] * 6
+
+    def call(k):
+        for _ in range(5):
+            results[k] = rg.sigma_min_batch(a, zs)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=call, args=(k,)) for k in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert all(np.array_equal(values, expected) for values in results)
+
+
+def _send_sigma_min(conn, a, zs) -> None:
+    conn.send(rg.sigma_min_batch(a, zs))
+    conn.close()
+
+
+@pytest.mark.skipif(not hasattr(os, "register_at_fork"), reason="no fork on this platform")
+@pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+def test_forked_child_makes_its_own_pool(monkeypatch):
+    """A child forked after the pool exists has none of its threads; its
+    own split batch must make a new pool, not wait on the parent's."""
+    monkeypatch.setattr(linalg, "_workers", lambda: 2)
+    a = rg.jordan_block(8, 0.0)
+    zs = _split_points(a, 3, count=118 * 132)
+    expected = rg.sigma_min_batch(a, zs)
+    assert linalg._pool.cache_info().currsize == 1
+    ctx = multiprocessing.get_context("fork")
+    receive, send = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_send_sigma_min, args=(send, a, zs))
+    child.start()
+    try:
+        assert receive.poll(60), "the forked child hung on its parent's thread pool"
+        assert np.array_equal(receive.recv(), expected)
+    finally:
+        child.join(5)
+        if child.is_alive():
+            child.kill()
+            child.join()
 
 
 def test_sigma_min_svd_retries_one_matrix_at_a_time():

@@ -96,9 +96,26 @@ def test_csv_text_matches_format_float():
         [0.1, -1e300, 2.0 / 3.0],
     ]
     expected = "a,b,c\n" + "".join(",".join(map(format_float, row)) + "\n" for row in rows)
-    assert csv_text(["a", "b", "c"], rows) == expected
-    assert csv_text(["a", "b", "c"], np.array(rows)) == expected
-    assert csv_text(["a"], []) == "a\n"
+    assert csv_text(["a", "b", "c"], np.transpose(rows)) == expected
+    assert csv_text(["a", "b", "c"], list(map(list, zip(*rows)))) == expected
+    assert csv_text(["a"], [[]]) == "a\n"
+
+
+def test_csv_text_broadcasts_columns_like_format_float():
+    """Columns that broadcast, as a grid's re (nx, 1) and im (1, ny) do, give
+    one row per cell in C order, each entry spelled as format_float spells
+    it, whether formatted once per entry or in the pass over all rows."""
+    re = np.array([0.0, -0.0, math.inf, 0.1])[:, None]
+    im = np.array([math.nan, -math.inf, 1.0 / 3.0])[None, :]
+    values = np.arange(12.0).reshape(4, 3) - 5.5
+    values[1, 2], values[3, 0] = math.inf, -0.0
+    expected = "re,im,s\n" + "".join(
+        f"{format_float(re[i, 0])},{format_float(im[0, j])},{format_float(values[i, j])}\n"
+        for i in range(4)
+        for j in range(3)
+    )
+    assert csv_text(["re", "im", "s"], (re, im, values)) == expected
+    assert expected.count("-0,") == 3 and "Infinity,NaN," in expected
 
 
 class _Color(enum.Enum):

@@ -49,6 +49,20 @@ def test_sigma_min_crossover_counts_svd_redos():
     assert tool.svd_redos(rg.Operator(a).schur, a, zs) == 3
 
 
+def test_sigma_min_crossover_split_cell_runs():
+    """The split table forces the split at every batch size through linalg's
+    private _SPLIT_MIN_POINTS and _workers, so renaming either breaks a test."""
+    tool = _load_tool("sigma_min_crossover")
+    a = rg.random_dense(8, 8)
+    zs = np.linspace(-2.0, 2.0, 64) + 0.5j
+    times = tool.cell(a, zs, 1, tool.svd_on(1), tool.svd_on(2)).split("/")
+    assert len(times) == 3 and all(float(t) > 0.0 for t in times)
+    with mock.patch.object(linalg, "_sigma_min_svd", wraps=linalg._sigma_min_svd) as svd:
+        assert np.array_equal(tool.svd_on(2)(a, zs), tool.svd_on(1)(a, zs))
+    assert svd.call_count == 3  # two slices, then one
+    assert linalg._SPLIT_MIN_POINTS == 1024
+
+
 def test_payload_hashes_cli_group_is_deterministic(tmp_path, monkeypatch):
     """Two passes of the hash tool's CLI runs print identical lines; the
     runs exit as intended and leave the working directory as it was."""

@@ -26,6 +26,15 @@ formula at every n and batch size, without a Schur factorization, so
 its rows at n = 4, 16 and 32 show what that formula saves below
 ``_SCHUR_MIN_N``.  The points have the same Gaussian scale,
 0.5·sqrt(64) = 4, or scale 1.
+
+A third table times the batched SVD route of ``sigma_min_batch`` on one
+thread and split over every CPU the process may run on, for n in
+{4, 8, 16, 32} (``random_dense(n, n)``, below ``_SCHUR_MIN_N``, so every
+batch takes the SVD) and P in {64, 256, 1024, 4096, 16384}, with the
+split forced at every P.  ``_SPLIT_MIN_POINTS`` is the smallest P of
+this table at which the split wins at every n: at P = 64 and n = 4 or
+8 the split cost about 0.1-0.2 ms more per batch than it saved.  With
+one CPU the last two times of a cell are the same loop.
 """
 
 from __future__ import annotations
@@ -54,10 +63,13 @@ from resgrow import (  # noqa: E402
     sigma_min_batch,
     zigzag_diagonal,
 )
+from resgrow import linalg  # noqa: E402
 from resgrow.linalg import _inverse_lanczos, _sigma_min_svd  # noqa: E402
 
 SIZES = (16, 32, 48, 64, 96, 128)
 BATCHES = (1, 17, 33, 64, 96, 258)
+SPLIT_SIZES = (4, 8, 16, 32)
+SPLIT_BATCHES = (64, 256, 1024, 4096, 16384)
 
 
 def grcar(n: int) -> np.ndarray:
@@ -105,6 +117,20 @@ def us_per_point(route, a, zs, repeats: int) -> float:
     return 1e6 * statistics.median(times) / zs.shape[0]
 
 
+def svd_on(workers: int):
+    """``sigma_min_batch`` with the split forced at every batch size, over
+    workers threads; one worker is the unsplit loop."""
+
+    def route(a, zs):
+        with (
+            mock.patch.object(linalg, "_SPLIT_MIN_POINTS", 0),
+            mock.patch.object(linalg, "_workers", lambda: workers),
+        ):
+            return sigma_min_batch(a, zs)
+
+    return route
+
+
 def cell(a, zs, repeats: int, *routes) -> str:
     """'svd / route / ...' microseconds per point for each route, by default
     ``lanczos_route``, right-aligned in 8 columns per time."""
@@ -144,6 +170,16 @@ def main(argv=None) -> None:
             cells.append(cell(a, zs, args.repeats, sigma_min_batch, partial(_inverse_lanczos, t)))
             cells.append(f"{svd_redos(t, a, zs):>6}")
         print(f"{name:<22}" + "".join(cells))
+    workers = linalg._workers()
+    print(f"\nthe SVD route, us per point (svd / sigma_min_batch on 1 / on {workers} threads)")
+    print("    n " + "".join(f"{f'P={p}':>24}" for p in SPLIT_BATCHES))
+    for n in SPLIT_SIZES:
+        a = random_dense(n, n)
+        cells = []
+        for p in SPLIT_BATCHES:
+            zs = 0.5 * np.sqrt(n) * (rng.standard_normal(p) + 1j * rng.standard_normal(p))
+            cells.append(cell(a, zs, args.repeats, svd_on(1), svd_on(workers)))
+        print(f"{n:>5} " + "".join(cells))
 
 if __name__ == "__main__":
     main()
