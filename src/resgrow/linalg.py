@@ -332,8 +332,8 @@ def sigma_min_batch(a, zs) -> np.ndarray:
     t_ii).  One loop hands the route chunks of points whose temporaries
     stay below about ``_CHUNK_BYTES``; on the SVD route, a batch of at least
     ``_SPLIT_MIN_POINTS`` points runs in at least one chunk per CPU of the
-    process on a thread pool.  numpy's SVD releases the GIL and factors
-    each matrix by itself, so the values are bitwise those of one thread.
+    process on a thread pool.  numpy's SVD factors each matrix alone (it frees
+    the GIL for slices of >= ~500/n), so the values are bitwise those of one thread.
     """
     op = as_operator(a)
     zs = _complex_array("zs", zs, 1, low=0)

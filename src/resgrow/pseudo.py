@@ -37,11 +37,6 @@ _PROGRESS_REL = 1e-9
 _CERT_SAMPLES_PER_SEGMENT = 4096
 
 
-def _norms_at(a, zs) -> np.ndarray:
-    """Resolvent norms at a batch of points."""
-    return norms_from_sigma(sigma_min_batch(a, zs))
-
-
 def _cell_centers(lo: float, hi: float, count: int) -> np.ndarray:
     """Centers of count equal cells spanning [lo, hi]."""
     return lo + (np.arange(count) + 0.5) * (hi - lo) / count
@@ -238,7 +233,7 @@ def certify_path(a, path: PolyPath, cfg: RunConfig = DEFAULT_CONFIG) -> PathCert
     # f(x_1) = inf at an exact eigenvalue, where find_path's delta is inf too: margin met
     required_margin = 0.5 * (f_start - path.delta - inv_eps) if f_start < np.inf else 0.0
     s_req = 1.0 / (inv_eps + max(required_margin, 0.0))
-    slack = op.matrix.shape[0] * np.finfo(float).eps * (op.norm + float(np.max(np.abs(verts))))
+    slack = _rounding_slack(op, verts)
 
     samples = verts.shape[0]
     budget = samples + _CERT_SAMPLES_PER_SEGMENT * (samples - 1)
@@ -288,24 +283,53 @@ def certify_path(a, path: PolyPath, cfg: RunConfig = DEFAULT_CONFIG) -> PathCert
     )
 
 
-def _line_search(
-    a, x: complex, direction: complex, fx: float, cap: float, floor: float, cfg: RunConfig
-) -> tuple[float, float] | None:
-    """Largest admissible step along one direction, or None.
+def _rounding_slack(op, zs) -> float:
+    """n u (||A||_2 + max |z|): how far a computed sigma_min(A - zI) may stray from the true one."""
+    return op.matrix.shape[0] * np.finfo(float).eps * (op.norm + float(np.max(np.abs(zs))))
 
-    A step t qualifies when the endpoint makes relative progress over
-    fx and the norm stays at or above the global floor at the interior
-    ones of s_seg equispaced samples (fx and the endpoint exceed it).
-    The steps tried, each once and largest first, are cap, cap/2,
-    cap/4, ... down to cap/4 halved cfg.max_halvings times.
+
+def _floor_holds(op, zs, known, sigmas, floor: float) -> bool:
+    """Whether the norm is >= floor at every point of zs.  A point z is skipped when
+    min_j(sigma_j + |z - z_j|) + 2 ``_rounding_slack`` + 4u/floor < 1/floor over the known
+    points z_j (sigma_min is 1-Lipschitz); the rest are evaluated coarse to fine, one batch
+    per k for the 1-based indices that are odd multiples of 2^k, k falling, and become known."""
+    s_req = (1.0 - 4.0 * np.finfo(float).eps) / floor - 2.0 * _rounding_slack(op, known)
+    index = np.arange(1, zs.shape[0] + 1)
+    power = index & -index  # the largest power of two dividing the index
+    for stride in np.unique(power)[::-1]:
+        cand = zs[power == stride]
+        cand = cand[~(np.min(sigmas + np.abs(cand[:, None] - known), axis=1) < s_req)]
+        if cand.size:
+            s = sigma_min_batch(op, cand)
+            if not np.all(norms_from_sigma(s) >= floor):
+                return False
+            known, sigmas = np.concatenate((known, cand)), np.concatenate((sigmas, s))
+    return True
+
+
+def _line_search(
+    op, x: complex, direction: complex, sx: float, cap: float, floor: float, cfg: RunConfig
+) -> tuple[float, float] | None:
+    """Largest admissible step along one direction and sigma_min at its endpoint, or None.
+
+    A step t qualifies when the endpoint makes relative progress over the
+    norm 1/sx at x and the norm stays at or above the global floor at the
+    interior ones of s_seg equispaced samples (x and the endpoint exceed
+    it); ``_floor_holds`` skips the samples that sigma_min at x, the endpoint
+    and the samples evaluated decide, with the verdict of all s_seg - 2.  The
+    steps tried, each once and largest first, are cap, cap/2, cap/4, ...
+    down to cap/4 halved cfg.max_halvings times.  op is an Operator.
     """
-    eta = _PROGRESS_REL * fx
+    fx = norms_from_sigma(sx)
     ts = np.linspace(0.0, 1.0, cfg.s_seg)[1:-1]
     t = cap
     for _ in range(cfg.max_halvings + 3):
-        f_end = float(_norms_at(a, [x + t * direction])[0])
-        if f_end > fx + eta and bool(np.all(_norms_at(a, x + (ts * t) * direction) >= floor)):
-            return t, f_end
+        end = x + t * direction
+        s_end = sigma_min_batch(op, [end])[0]
+        if norms_from_sigma(s_end) > fx + _PROGRESS_REL * fx and _floor_holds(
+            op, x + (ts * t) * direction, [x, end], [sx, s_end], floor
+        ):
+            return t, s_end
         t *= 0.5
     return None
 
@@ -320,7 +344,7 @@ def _directions(a, x: complex, theta0: float | None, dist: float):
     if theta0 is not None:
         yield complex(np.exp(-1j * theta0))
     fan = circle_directions(_ESCAPE_DIRECTIONS)
-    probe = _norms_at(a, x + (_FAN_PROBE_FRAC * dist) * fan)
+    probe = norms_from_sigma(sigma_min_batch(a, x + (_FAN_PROBE_FRAC * dist) * fan))
     for k in np.argsort(-probe):
         yield complex(fan[k])
 
@@ -331,12 +355,13 @@ def find_path(
     """Ascend the resolvent norm from z to an eigenvalue.
 
     From each vertex the analyzed growth direction is followed with a
-    geometric line search constrained to keep the norm above
-    f(z) - delta.  When that direction admits no step, or the vertex is
-    a local minimum and has none, a fan of escape directions is tried,
-    best first.  Once the spectrum is closer than epsilon/2 the nearest
-    eigenvalue is appended and the finished path is certified.  a is a
-    matrix or an Operator; one Operator serves search and certificate.
+    geometric line search keeping the norm above f(z) - delta at s_seg - 2
+    samples per step, less those the 1-Lipschitz bound decides from
+    sigma_min at the vertex and endpoint (the verdict is the same).  When
+    that direction admits no step, or the vertex is a local minimum and has
+    none, a fan of escape directions is tried, best first.  Once the spectrum
+    is closer than epsilon/2 the nearest eigenvalue is appended and the path
+    certified.  a is a matrix or an Operator; one Operator serves both.
 
     Raises:
         ValueError: epsilon not positive, or z not finite.
@@ -352,7 +377,8 @@ def find_path(
     epsilon, z = _real("epsilon", epsilon, positive=True), _point("z", z)
     eigs = op.eigenvalues
     inv_eps = 1.0 / epsilon
-    fz = float(_norms_at(op, [z])[0])
+    sx = sigma_min_batch(op, [z])[0]
+    fz = float(norms_from_sigma(sx))
     if not fz > inv_eps:
         raise DomainError(
             f"query z={z} lies outside the epsilon-pseudospectrum "
@@ -363,7 +389,6 @@ def find_path(
 
     vertices = [z]
     x = z
-    fx = fz
     for _ in range(cfg.max_steps):
         gaps = np.abs(eigs - x)
         nearest = int(np.argmin(gaps))
@@ -386,7 +411,7 @@ def find_path(
                 reason="singular-vertex",
             ) from exc
         for direction in _directions(op, x, point.theta0, dist):
-            found = _line_search(op, x, direction, fx, dist, floor, cfg)
+            found = _line_search(op, x, direction, sx, dist, floor, cfg)
             if found is not None:
                 break
         else:
@@ -396,7 +421,7 @@ def find_path(
                 reason="step-failure",
                 suspected_local_min=point.case is GrowthCase.LOCAL_MIN,
             )
-        t, fx = found
+        t, sx = found
         x = x + t * direction
         vertices.append(x)
 

@@ -115,20 +115,21 @@ def _counting(target):
     return mock.patch(target, wrapper), calls
 
 
-def test_find_path_computes_spectrum_and_schur_form_once(query):
-    """With 66 samples per floor test every line search batch takes the
-    Schur route, yet the search factors A once, as it computes its
-    eigenvalues once, however many vertices it analyzes.  The Operator
-    calls ``eigenvalues`` by its module-level name, where a tracer
-    counts it, and LAPACK's eigvals is reached no other way."""
+def test_find_path_computes_spectrum_and_schur_form_once(query, monkeypatch):
+    """With every batch of two points or more sent to the Schur route,
+    the line search's fan probes and floor batches take it, yet the
+    search factors A once, as it computes its eigenvalues once, however
+    many vertices it analyzes.  The Operator calls ``eigenvalues`` by its
+    module-level name, where a tracer counts it, and LAPACK's eigvals is
+    reached no other way."""
     a, z, eps = query
-    cfg = rg.RunConfig(s_seg=linalg._SCHUR_MIN_POINTS + 2)
+    monkeypatch.setattr(linalg, "_SCHUR_MIN_POINTS", 2)
     eig_patch, eig_calls = _counting("resgrow.linalg.eigenvalues")
     eigvals_patch, eigvals_calls = _counting("numpy.linalg.eigvals")
     schur_patch, schur_calls = _counting("scipy.linalg.lapack.zgees")
     analyze_patch, analyze_calls = _counting("resgrow.pseudo.analyze_point")
     with eig_patch, eigvals_patch, schur_patch, analyze_patch:
-        path, cert = rg.find_path(a, eps, z, cfg)
+        path, cert = rg.find_path(a, eps, z)
     assert cert.valid and len(analyze_calls) >= 2
     assert len(eig_calls) == len(eigvals_calls) == 1
     assert len([c for c in schur_calls if c[1]["lwork"] != -1]) == 1

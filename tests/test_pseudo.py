@@ -11,7 +11,7 @@ from hypothesis.extra.numpy import arrays
 import resgrow as rg
 from resgrow import linalg
 from resgrow.linalg import norms_from_sigma
-from resgrow.pseudo import _line_search
+from resgrow.pseudo import _floor_holds, _line_search
 
 
 def test_grid_values_match_distance_for_normal(diag03):
@@ -264,9 +264,9 @@ def test_find_path_past_saddle(weights, vertices):
 
 def test_find_path_evaluates_each_step_once():
     # the saddle query above rejects many steps before the fan takes over;
-    # the search may succeed or fail, but no evaluation, the certificate's
-    # included, is made twice, and no floor test of the search
-    # re-evaluates its vertex or its endpoint
+    # the search may succeed or fail, but no call, the certificate's
+    # included, is made twice, and on this query the search evaluates no
+    # point twice: not a vertex, an endpoint, a floor sample or a fan probe
     a = rg.operator_from_inverse(rg.circulant_weighted_shift_inverse([2, 1]))
     z = 0.05j
     eps = 1.2 / rg.resolvent_norm(a, z)
@@ -290,16 +290,15 @@ def test_find_path_evaluates_each_step_once():
         rg.find_path(a, eps, z)
     assert len(set(calls)) == len(calls)
     search = calls if search_calls is None else calls[:search_calls]
-    endpoints = [zs[0] for zs in search if len(zs) == 1]
-    assert len(set(endpoints)) == len(endpoints)
-    batched = {p for zs in search if len(zs) > 1 for p in zs}
-    assert batched.isdisjoint(endpoints)
+    points = [p for zs in search for p in zs]
+    assert len(set(points)) == len(points)
 
 
 def _reference_line_search(a, x, direction, fx, cap, floor, cfg):
-    """Halving x ladder search: every halving rescans the ladder from cap."""
+    """Halving x ladder search: every halving rescans the ladder from cap.
+    It evaluates every interior sample of each step it checks."""
     eta = 1e-9 * fx
-    ts = np.linspace(0.0, 1.0, cfg.s_seg)
+    ts = np.linspace(0.0, 1.0, cfg.s_seg)[1:-1]
     t0 = 0.25 * cap
     for _ in range(cfg.max_halvings + 1):
         ladder = []
@@ -333,8 +332,11 @@ def _reference_line_search(a, x, direction, fx, cap, floor, cfg):
 @example(n=1, seed=485742, turn=1.54, cap_frac=1.27, floor_frac=0.51, max_halvings=5, s_seg=15)
 @example(n=6, seed=284547, turn=1.57, cap_frac=0.48, floor_frac=0.74, max_halvings=6, s_seg=16)
 @example(n=1, seed=15177, turn=-1.57, cap_frac=0.72, floor_frac=0.99, max_halvings=7, s_seg=15)
-# s_seg = 2 leaves no interior samples: the floor check evaluates an empty batch
+# s_seg = 2 leaves no interior samples: the floor check has nothing to evaluate
 @example(n=2, seed=1, turn=0.0, cap_frac=0.5, floor_frac=0.9, max_halvings=3, s_seg=2)
+# the floor is the vertex norm; the vertex itself is no sample, though its
+# sigma_min without singular vectors puts its norm an ulp below the floor
+@example(n=2, seed=2, turn=0.0, cap_frac=1.0, floor_frac=1.0, max_halvings=0, s_seg=2)
 def test_line_search_matches_ladder(n, seed, turn, cap_frac, floor_frac, max_halvings, s_seg):
     """The one-pass step scan returns exactly the ladder search's step.
 
@@ -342,14 +344,82 @@ def test_line_search_matches_ladder(n, seed, turn, cap_frac, floor_frac, max_hal
     radians and the cap runs up to four times the spectral distance, so
     steps are found at several depths of the scan, and sometimes none.
     """
-    a = rg.random_dense(n, seed)
+    op = rg.Operator(rg.random_dense(n, seed))
     rng = np.random.default_rng(seed)
-    point = rg.analyze_point(a, complex(*rng.standard_normal(2)))
+    point = rg.analyze_point(op, complex(*rng.standard_normal(2)))
     direction = complex(np.exp(1j * (turn - (point.theta0 or 0.0))))
     cfg = rg.DEFAULT_CONFIG.replace(max_halvings=max_halvings, s_seg=s_seg)
+    cap, floor = cap_frac * point.spectral_distance, floor_frac * point.norm
+    sx = rg.sigma_min_batch(op, [point.z])[0]
+    found = _line_search(op, point.z, direction, sx, cap, floor, cfg)
+    if found is not None:
+        found = found[0], float(norms_from_sigma(found[1]))
+    fx = float(norms_from_sigma(sx))
+    assert found == _reference_line_search(op, point.z, direction, fx, cap, floor, cfg)
+
+
+def _grcar(n):
+    """-1 on the subdiagonal, 1 on the diagonal and three superdiagonals."""
+    return np.eye(n, k=-1) * -1.0 + sum(np.eye(n, k=k) for k in range(4)) + 0j
+
+
+_FLOOR_FAMILIES = {
+    "random_dense": lambda n, rng: rg.random_dense(n, int(rng.integers(2**20))),
+    "jordan": lambda n, rng: rg.jordan_block(n, complex(*rng.uniform(-1.0, 1.0, 2))),
+    "shift": lambda n, rng: rg.operator_from_inverse(
+        rg.circulant_weighted_shift_inverse(rng.uniform(1.0, 3.0, n))
+    ),
+    "grcar": lambda n, rng: _grcar(n),
+}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    family=st.sampled_from(sorted(_FLOOR_FAMILIES)),
+    n=st.integers(2, 12),
+    seed=st.integers(0, 2**20),
+    turn=st.floats(-2.0, 2.0),
+    cap_frac=st.floats(0.05, 4.0),
+    floor_exp=st.floats(-0.1, 0.1),
+    s_seg=st.integers(2, 40),
+)
+# a floor equal to the norm at the vertex or at the lowest sample of the cap step
+@example(family="shift", n=3, seed=7, turn=0.5, cap_frac=2.0, floor_exp=0.0, s_seg=33)
+def test_floor_check_matches_full_evaluation(family, n, seed, turn, cap_frac, floor_exp, s_seg):
+    """Every floor check gives the verdict of evaluating all its samples,
+    though it skips those the 1-Lipschitz bound decides, and the line
+    search takes the step of the ladder search, which evaluates them all.
+
+    The query lies 0.2 to 1.5 from a random eigenvalue, the direction is
+    the analyzed ascent turned by up to 2 radians, and the floor is within
+    10% of the lowest norm at the vertex and the cap step's samples, so
+    about two floor checks in three fail and many are near ties.
+    """
+    rng = np.random.default_rng(seed)
+    op = rg.Operator(_FLOOR_FAMILIES[family](n, rng))
+    lam = op.eigenvalues[rng.integers(n)]
+    z = complex(lam + rng.uniform(0.2, 1.5) * np.exp(2j * np.pi * rng.uniform()))
+    point = rg.analyze_point(op, z)
+    direction = complex(np.exp(1j * (turn - (point.theta0 or 0.0))))
+    cfg = rg.DEFAULT_CONFIG.replace(s_seg=s_seg)
     cap = cap_frac * point.spectral_distance
-    args = (a, point.z, direction, point.norm, cap, floor_frac * point.norm, cfg)
-    assert _line_search(*args) == _reference_line_search(*args)
+    ts = np.linspace(0.0, 1.0, s_seg)[1:-1]
+    sigmas = rg.sigma_min_batch(op, np.concatenate(([z], z + (ts * cap) * direction)))
+    floor = float(norms_from_sigma(sigmas.max())) * np.exp(floor_exp)
+    verdicts = []
+
+    def checked(op_, zs, known, sigmas_, floor_):
+        full = bool(np.all(norms_from_sigma(rg.sigma_min_batch(op_, zs)) >= floor_))
+        verdicts.append((_floor_holds(op_, zs, known, sigmas_, floor_), full))
+        return verdicts[-1][0]
+
+    with mock.patch("resgrow.pseudo._floor_holds", checked):
+        found = _line_search(op, z, direction, sigmas[0], cap, floor, cfg)
+    assert all(got == full for got, full in verdicts)
+    if found is not None:
+        found = found[0], float(norms_from_sigma(found[1]))
+    fx = float(norms_from_sigma(sigmas[0]))
+    assert found == _reference_line_search(op, z, direction, fx, cap, floor, cfg)
 
 
 def test_find_path_domain_and_validation(diag03):
