@@ -68,7 +68,7 @@ def resolvent_norm(a, z: complex, cfg: RunConfig = DEFAULT_CONFIG) -> float:
     Raises NearSingularError when z is within tol_singular of the
     spectrum.
     """
-    return ShiftedSolver(a, z, cfg).norm
+    return as_operator(a)._shifted(z, cfg).norm
 
 
 def _angle(x: complex) -> float:
@@ -115,7 +115,7 @@ def analyze_point(a, z: complex, cfg: RunConfig = DEFAULT_CONFIG) -> ResolventPo
     Operator.  ValueError unless z is finite; NearSingularError if
     sigma_min(A - zI) <= cfg.tol_singular."""
     op = as_operator(a)
-    solver = ShiftedSolver(op, z, cfg)
+    solver = op._shifted(z, cfg)
     # kept although min_left_vector is phase-fixed: a second pass changes psi's low bits
     psi = canonical_phase(solver.min_left_vector())
     alpha, beta, gamma, _ = _growth_quantities(solver, psi)

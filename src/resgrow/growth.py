@@ -19,7 +19,6 @@ from .analysis import GrowthCase, ResolventPoint, _growth_quantities
 from .config import DEFAULT_CONFIG, RunConfig, _integer, _point, _real
 from .errors import DomainError
 from .linalg import (
-    ShiftedSolver,
     as_operator,
     as_vector,
     circle_directions,
@@ -258,7 +257,7 @@ def local_min_probe(
     if r0 >= dist:
         raise DomainError(f"probe radius r0={r0} reaches the spectrum (distance {dist})")
 
-    base = ShiftedSolver(op, z, cfg).norm
+    base = op._shifted(z, cfg).norm
     radii = r0 * (np.arange(radial) + 1) / radial
     zetas = z + radii[:, None] * circle_directions(angular)[None, :]
     sigmas = sigma_min_batch(op, zetas.ravel()).reshape(radial, angular)
@@ -341,7 +340,7 @@ def taylor_remainder_check(
             f"largest step {steps[0]} is not small against the spectral distance {dist}"
         )
 
-    solver = ShiftedSolver(op, z, cfg)
+    solver = op._shifted(z, cfg)
     alpha, beta, gamma, base_sq = _growth_quantities(solver, psi)
 
     hs = np.asarray(steps)

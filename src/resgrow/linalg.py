@@ -17,7 +17,7 @@ form T: min |t_ii - z| when T is diagonal, else triangular solves with T.
 from __future__ import annotations
 
 import os
-from functools import cache, cached_property, partial
+from functools import cache, cached_property, lru_cache, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -155,12 +155,25 @@ def _read_only(x: np.ndarray) -> np.ndarray:
 
 class Operator:
     """A validated, read-only copy of a square matrix A whose spectrum,
-    ||A||_2 and complex Schur form are computed on first use and kept.
-    Every function that takes a matrix takes an Operator too (see
-    ``as_matrix``), so calls sharing one compute each of these once."""
+    ||A||_2 and complex Schur form are computed on first use and kept,
+    as is the factored shift A - zI of the last z asked for.  Every function
+    that takes a matrix takes an Operator too (see ``as_matrix``), so calls
+    sharing one compute each of these once; consecutive calls on bitwise-equal
+    plain matrices share one Operator (see ``as_operator``)."""
 
     def __init__(self, m):
         self.matrix = _read_only(np.array(as_matrix(m)))
+        self._last_shift = (None, None)
+
+    def _shifted(self, z: complex, cfg: RunConfig) -> ShiftedSolver:
+        """The ShiftedSolver of A - zI under cfg, kept for the next call with the
+        same bits of z (the signs of its zero parts set bits of A - zI) and cfg."""
+        key = (np.complex128(_point("z", z)).tobytes(), cfg)
+        last, solver = self._last_shift  # one read, so threads never swap solvers
+        if last != key:
+            solver = ShiftedSolver(self, z, cfg)
+            self._last_shift = key, solver
+        return solver
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:
@@ -204,8 +217,18 @@ class Operator:
 
 
 def as_operator(obj) -> Operator:
-    """obj itself if it is an Operator, else a new Operator of the matrix obj."""
-    return obj if isinstance(obj, Operator) else Operator(obj)
+    """obj itself if it is an Operator, else the Operator of the matrix obj:
+    consecutive calls on plain matrices of the same shape and bytes share one."""
+    if isinstance(obj, Operator):
+        return obj
+    a = as_matrix(obj)
+    return _last_operator(a.shape, a.tobytes())
+
+
+@lru_cache(maxsize=1)
+def _last_operator(shape: tuple[int, int], data: bytes) -> Operator:
+    """The Operator of the last plain matrix, by its shape and bytes; one entry."""
+    return Operator(np.frombuffer(data, dtype=complex).reshape(shape))
 
 
 class ShiftedSolver:
@@ -306,7 +329,7 @@ def _check_residual(r, x, b, norm: float, cfg: RunConfig) -> None:
 
 def shifted_solve(a, z: complex, b, cfg: RunConfig = DEFAULT_CONFIG) -> np.ndarray:
     """Solve (A - zI) x = b.  See ShiftedSolver for the contracts."""
-    return ShiftedSolver(a, z, cfg).solve(b)
+    return as_operator(a)._shifted(z, cfg).solve(b)
 
 
 def sigma_min_batch(a, zs) -> np.ndarray:

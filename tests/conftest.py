@@ -2,6 +2,14 @@ import numpy as np
 import pytest
 
 import resgrow as rg
+from resgrow import linalg
+
+
+@pytest.fixture(autouse=True)
+def _cold_operator_slot():
+    """Every test starts with no Operator kept for plain matrices, so one that
+    counts spectra or SVDs counts from a cold start whatever ran before it."""
+    linalg._last_operator.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -2,6 +2,8 @@
 those of the plain matrix it was built from."""
 
 import importlib
+import sys
+import threading
 from unittest import mock
 
 import numpy as np
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 import resgrow as rg
 from resgrow import linalg
 from resgrow.cli import main
+from resgrow.serialize import dumps
 
 N = linalg._SCHUR_MIN_N
 
@@ -142,7 +145,103 @@ def test_taylor_command_computes_spectrum_once(tmp_path, capsys):
     rg.save_matrix(str(path), shift4)
     eig_patch, eig_calls = _counting("resgrow.linalg.eigenvalues")
     eigvals_patch, eigvals_calls = _counting("numpy.linalg.eigvals")
-    with eig_patch, eigvals_patch:
+    svd_patch, svd_calls = _counting("resgrow.linalg.svd")
+    with eig_patch, eigvals_patch, svd_patch:
         assert main(["taylor", str(path), "--z", "0,0", "--theta", "0"]) == 0
     capsys.readouterr()
-    assert len(eig_calls) == len(eigvals_calls) == 1
+    assert len(eig_calls) == len(eigvals_calls) == len(svd_calls) == 1
+
+
+def _growth_check(a, z, fresh):
+    """The payloads of the growth check at z, analyze_point ->
+    sample_segment_auto -> taylor_remainder_check -> local_min_probe, each
+    call given a (or a new Operator of it, if fresh)."""
+    arg = (lambda: rg.Operator(a)) if fresh else (lambda: a)
+    point = rg.analyze_point(arg(), z)
+    theta = 0.0 if point.theta0 is None else point.theta0
+    report = rg.sample_segment_auto(arg(), point, direction=theta)
+    steps = rg.default_taylor_steps(start=min(1e-2, 0.2 * point.spectral_distance))
+    taylor = rg.taylor_remainder_check(arg(), z, point.psi, theta, steps)
+    probe = rg.local_min_probe(arg(), z, 0.25 * point.spectral_distance)
+    return [dumps(r.to_dict()) for r in (point, report, taylor, probe)]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_growth_check_on_a_plain_array_factors_once(seed):
+    """Consecutive calls on one plain array share its Operator and its
+    factored shift at z: one spectrum and one full SVD for the whole check,
+    with payloads byte-identical to a new Operator per call."""
+    a = rg.random_dense(64, seed)
+    z = complex(*(4.0 * np.random.default_rng(seed).standard_normal(2)))
+    eigvals_patch, eigvals_calls = _counting("numpy.linalg.eigvals")
+    svd_patch, svd_calls = _counting("resgrow.linalg.svd")
+    with eigvals_patch, svd_patch:
+        shared = _growth_check(a, z, fresh=False)
+    assert len(eigvals_calls) == len(svd_calls) == 1
+    assert shared == _growth_check(a, z, fresh=True)
+
+
+def test_sharing_goes_by_exact_bits():
+    """A plain matrix shares the last Operator only if its shape and bytes are
+    equal, and an Operator's factored shift is reused only for the same bits
+    of z and an equal RunConfig; values equal under == but with other bits
+    (signed zeros) get their own."""
+    a = rg.random_dense(6, 0)
+    op = linalg.as_operator(a)
+    assert linalg.as_operator(a.tolist()) is op
+    a[0, 0] += 1.0
+    mutated = linalg.as_operator(a)
+    assert mutated is not op and np.array_equal(mutated.matrix, a)
+    assert linalg.as_operator(a) is mutated
+
+    b = np.diag([1.0 + 0j, 2.0, 3.0])
+    signed = b.copy()
+    signed[1, 0] = complex(-0.0, 0.0)
+    op_b = linalg.as_operator(b)
+    assert linalg.as_operator(signed) is not op_b
+    assert linalg.as_operator(b) is not op_b  # the slot holds one Operator
+
+    cfg = rg.RunConfig()
+    solver = op._shifted(0j, cfg)
+    assert op._shifted(0, rg.RunConfig()) is solver
+    signed_z = op._shifted(complex(-0.0, 0.0), cfg)
+    assert signed_z is not solver and signed_z.z.real.hex() == "-0x0.0p+0"
+    other_cfg = op._shifted(complex(-0.0, 0.0), cfg.replace(tol_svd=1e-9))
+    assert other_cfg is not signed_z and other_cfg.cfg.tol_svd == 1e-9
+
+
+def test_failed_shift_is_not_kept():
+    """A shift that raises NearSingularError leaves the slot as it was."""
+    op = rg.Operator(np.diag([0.0 + 0j, 3.0]))
+    solver = op._shifted(1.0, rg.DEFAULT_CONFIG)
+    with pytest.raises(rg.NearSingularError):
+        op._shifted(0.0, rg.DEFAULT_CONFIG)
+    assert op._shifted(1.0, rg.DEFAULT_CONFIG) is solver
+
+
+def test_slots_under_threads():
+    """Threads sharing the slots each get the Operator of their own matrix
+    and the solver of their own z, however the slots change under them."""
+    mats = [rg.random_dense(6, seed) for seed in range(4)]
+    op, errors = rg.Operator(mats[0]), []
+
+    def work(k):
+        try:
+            for i in range(300):
+                z = 10.0 + k + 4 * (i % 2)  # a new z each call, so the slot changes
+                assert np.array_equal(linalg.as_operator(mats[k]).matrix, mats[k])
+                assert op._shifted(z, rg.DEFAULT_CONFIG).z == z
+        except AssertionError as exc:
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and errors == []
