@@ -18,14 +18,8 @@ import numpy as np
 from .analysis import GrowthCase, ResolventPoint, _growth_quantities
 from .config import DEFAULT_CONFIG, RunConfig, _integer, _point, _real
 from .errors import DomainError
-from .linalg import (
-    as_operator,
-    as_vector,
-    circle_directions,
-    norms_from_sigma,
-    sigma_min_batch,
-    spectral_distance,
-)
+from .linalg import as_operator, as_vector, circle_directions, norms_from_sigma
+from .linalg import sigma_min_batch, spectral_distance
 from .serialize import Result, csv_text, payload
 
 # samples whose excess over the base norm is below this (relative to the

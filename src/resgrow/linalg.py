@@ -235,7 +235,9 @@ class ShiftedSolver:
     """A factored shift A - zI for repeated solves.
 
     One SVD is computed at construction and reused for every
-    right-hand side, for the norm, and for the maximizing vector.
+    right-hand side, for the norm, and for the maximizing vector.  It keeps
+    A's array for the guard of ``solve_nearby`` (a copy unless read-only),
+    never an Operator, so it leaves ``as_operator``'s slot alone.
 
     Raises:
         ValueError: z is not a finite complex number.
@@ -243,8 +245,8 @@ class ShiftedSolver:
     """
 
     def __init__(self, a, z: complex, cfg: RunConfig = DEFAULT_CONFIG):
-        self.operator = as_operator(a)
-        a = self.operator.matrix
+        a = as_matrix(a)
+        self._a = _read_only(a.copy()) if a.flags.writeable else a
         self.z = _point("z", z)
         self.cfg = cfg
         self.matrix = a - self.z * np.eye(a.shape[0])
@@ -287,18 +289,19 @@ class ShiftedSolver:
         """Rows x_k with (A - (z + w_k)I) x_k = b for the 1-D array ws, by one
         batched LU solve per chunk, each held to ``_check_residual`` with
         ||A - zI||_2 - |w_k| <= ||A - (z + w_k)I||_2.  sigma_min is 1-Lipschitz
-        in the shift, so the steps' sigma_min are computed only when
-        sigma_min(A - zI) - max|w_k| <= tol_singular + n·u·||A - zI||_2;
-        NearSingularError at the first of them <= tol_singular."""
+        in the shift, so only when sigma_min(A - zI) - max|w_k| <= tol_singular
+        + n·u·||A - zI||_2 does each chunk take one batched SVD of its A - (z + w_k)I
+        first; NearSingularError at the first z + w_k with sigma_min <= tol_singular."""
         n = self.matrix.shape[0]
         ws, b = _complex_array("ws", ws, 1), as_vector(b, n, "b")
         size, m_norm = np.abs(ws), float(self.decomposition.values[0])
-        if self.sigma_min - size.max() <= self.cfg.tol_singular + n * np.finfo(float).eps * m_norm:
-            us = self.z + ws
-            for u, sigma in zip(us, sigma_min_batch(self.operator, us)):
-                _check_singular(complex(u), float(sigma), self.cfg)
+        guard = self.sigma_min - size.max() <= self.cfg.tol_singular + n * np.finfo(float).eps * m_norm
         out = np.empty((ws.shape[0], n), dtype=complex)
         for part in _chunks(n, ws.shape[0]):
+            if guard:
+                us = self.z + ws[part]
+                for u, sigma in zip(us, _sigma_min_svd(self._a, us)):
+                    _check_singular(complex(u), float(sigma), self.cfg)
             stack = self.matrix - ws[part, None, None] * np.eye(n)
             try:
                 x = out[part] = np.linalg.solve(stack, b[:, None])[..., 0]

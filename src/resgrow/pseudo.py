@@ -308,17 +308,18 @@ def _floor_holds(op, zs, known, sigmas, floor: float) -> bool:
 
 
 def _line_search(
-    op, x: complex, direction: complex, sx: float, cap: float, floor: float, cfg: RunConfig
+    op, x: complex, direction: complex, sx: float, cap: float, floor: float, cfg: RunConfig,
+    known=(), sigmas=(),
 ) -> tuple[float, float] | None:
     """Largest admissible step along one direction and sigma_min at its endpoint, or None.
 
     A step t qualifies when the endpoint makes relative progress over the
     norm 1/sx at x and the norm stays at or above the global floor at the
     interior ones of s_seg equispaced samples (x and the endpoint exceed
-    it); ``_floor_holds`` skips the samples that sigma_min at x, the endpoint
-    and the samples evaluated decide, with the verdict of all s_seg - 2.  The
-    steps tried, each once and largest first, are cap, cap/2, cap/4, ...
-    down to cap/4 halved cfg.max_halvings times.  op is an Operator.
+    it); ``_floor_holds`` skips the samples that sigma_min at x, the endpoint,
+    the known points and the samples evaluated decide, with the verdict of all
+    s_seg - 2.  The steps tried, each once and largest first, are cap, cap/2,
+    cap/4, ... down to cap/4 halved cfg.max_halvings times.  op is an Operator.
     """
     fx = norms_from_sigma(sx)
     ts = np.linspace(0.0, 1.0, cfg.s_seg)[1:-1]
@@ -327,7 +328,7 @@ def _line_search(
         end = x + t * direction
         s_end = sigma_min_batch(op, [end])[0]
         if norms_from_sigma(s_end) > fx + _PROGRESS_REL * fx and _floor_holds(
-            op, x + (ts * t) * direction, [x, end], [sx, s_end], floor
+            op, x + (ts * t) * direction, [x, end, *known], [sx, s_end, *sigmas], floor
         ):
             return t, s_end
         t *= 0.5
@@ -335,18 +336,20 @@ def _line_search(
 
 
 def _directions(a, x: complex, theta0: float | None, dist: float):
-    """Step directions from a vertex, in the order the search tries them.
+    """Step directions from a vertex, in the order the search tries them, each
+    with the points besides x whose sigma_min is known there, and those sigmas.
 
     The analyzed ascent direction comes first when there is one, then
-    the escape fan, best probed norm first.  The fan is probed only
-    when the search reaches it.
+    the escape fan, best probed norm first, with the fan's probes.  The
+    fan is probed only when the search reaches it.
     """
     if theta0 is not None:
-        yield complex(np.exp(-1j * theta0))
+        yield complex(np.exp(-1j * theta0)), (), ()
     fan = circle_directions(_ESCAPE_DIRECTIONS)
-    probe = norms_from_sigma(sigma_min_batch(a, x + (_FAN_PROBE_FRAC * dist) * fan))
-    for k in np.argsort(-probe):
-        yield complex(fan[k])
+    probes = x + (_FAN_PROBE_FRAC * dist) * fan
+    sigmas = sigma_min_batch(a, probes)
+    for k in np.argsort(-norms_from_sigma(sigmas)):
+        yield complex(fan[k]), probes, sigmas
 
 
 def find_path(
@@ -410,8 +413,8 @@ def find_path(
                 tuple(vertices),
                 reason="singular-vertex",
             ) from exc
-        for direction in _directions(op, x, point.theta0, dist):
-            found = _line_search(op, x, direction, sx, dist, floor, cfg)
+        for direction, known, sigmas in _directions(op, x, point.theta0, dist):
+            found = _line_search(op, x, direction, sx, dist, floor, cfg, known, sigmas)
             if found is not None:
                 break
         else:

@@ -349,9 +349,10 @@ def test_taylor_batched_solve_matches_per_step_solver(n, seed, re, im):
 
 @pytest.fixture
 def work_counts(monkeypatch):
-    """Calls of linalg.svd and of sigma_min_batch, counted by wrapping them
-    in linalg and under growth's own name."""
-    counts = {"svd": 0, "sigma_min_batch": 0}
+    """Calls of linalg.svd, of sigma_min_batch and of the batched-SVD kernel
+    linalg._sigma_min_svd, counted by wrapping them in linalg and under
+    growth's own name."""
+    counts = {"svd": 0, "sigma_min_batch": 0, "_sigma_min_svd": 0}
 
     def counted(name, real):
         def wrapper(*args, **kwargs):
@@ -364,6 +365,7 @@ def work_counts(monkeypatch):
     batch = counted("sigma_min_batch", linalg.sigma_min_batch)
     monkeypatch.setattr(linalg, "sigma_min_batch", batch)
     monkeypatch.setattr(growth, "sigma_min_batch", batch)
+    monkeypatch.setattr(linalg, "_sigma_min_svd", counted("_sigma_min_svd", linalg._sigma_min_svd))
     return counts
 
 
@@ -375,16 +377,16 @@ def test_taylor_check_factors_only_the_base_shift(work_counts):
     assert rg.spectral_distance(op.eigenvalues, z) > 1.0
     check = rg.taylor_remainder_check(op, z, np.eye(32)[0], 0.3, rg.default_taylor_steps())
     assert len(check.residuals) == 7
-    assert work_counts == {"svd": 1, "sigma_min_batch": 0}
+    assert work_counts == {"svd": 1, "sigma_min_batch": 0, "_sigma_min_svd": 0}
 
 
 def test_taylor_guard_without_a_singular_step(work_counts):
     """On jordan_block(16, 0) at z = 0.3, sigma_min is 3.9e-9, so the
-    Lipschitz guard evaluates the step points; none of them is singular
-    and the check returns its fit."""
+    Lipschitz guard evaluates the step points, in one batched SVD; none of
+    them is singular and the check returns its fit."""
     a = rg.jordan_block(16, 0.0)
     check = rg.taylor_remainder_check(a, 0.3, np.eye(16)[0], 0.0, (1e-3, 5e-4))
-    assert work_counts == {"svd": 1, "sigma_min_batch": 1}
+    assert work_counts == {"svd": 1, "sigma_min_batch": 0, "_sigma_min_svd": 1}
     assert check.fitted_order == pytest.approx(2.99586, abs=1e-5)
 
 

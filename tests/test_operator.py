@@ -1,9 +1,11 @@
 """The Operator: per-matrix data computed once, and results equal to
 those of the plain matrix it was built from."""
 
+import gc
 import importlib
 import sys
 import threading
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -189,6 +191,8 @@ def test_sharing_goes_by_exact_bits():
     a = rg.random_dense(6, 0)
     op = linalg.as_operator(a)
     assert linalg.as_operator(a.tolist()) is op
+    rg.ShiftedSolver(rg.random_dense(5, 1), 0.5)  # a solver built directly keeps out of the slot
+    assert linalg.as_operator(a) is op
     a[0, 0] += 1.0
     mutated = linalg.as_operator(a)
     assert mutated is not op and np.array_equal(mutated.matrix, a)
@@ -208,6 +212,45 @@ def test_sharing_goes_by_exact_bits():
     assert signed_z is not solver and signed_z.z.real.hex() == "-0x0.0p+0"
     other_cfg = op._shifted(complex(-0.0, 0.0), cfg.replace(tol_svd=1e-9))
     assert other_cfg is not signed_z and other_cfg.cfg.tol_svd == 1e-9
+
+
+def _calls_on_kept_data():
+    """The growth check on a plain array, find_path on an Operator, a grid with
+    its metadata and CSV, a split batch and a Lanczos batch."""
+    a = rg.random_dense(16, 3)
+    _growth_check(a, 1.5 - 0.5j, fresh=False)
+    op = rg.Operator(a)
+    rg.find_path(op, 1.3 / rg.resolvent_norm(op, 1.5 - 0.5j), 1.5 - 0.5j)
+    grid = rg.grid_sigma_min(rg.jordan_block(8, 0.0), -1.0, 1.0, -1.0, 1.0, 40, 40)
+    rg.grid_metadata(grid, 0.1)
+    grid.to_csv()
+    zs = np.exp(2j * np.pi * np.arange(1500) / 1500) * 3.0
+    rg.sigma_min_batch(a, zs)  # at least _SPLIT_MIN_POINTS on the SVD route
+    rg.sigma_min_batch(rg.random_dense(48, 1), zs[:80])  # inverse Lanczos
+
+
+def test_calls_leave_no_reference_cycles():
+    """What a call keeps (an Operator, its factored shift) is freed by
+    reference counting: after a warm-up run, which makes the pool and the
+    lazy imports, the calls leave nothing for the cyclic collector."""
+    _calls_on_kept_data()
+    gc.collect()
+    gc.disable()
+    try:
+        _calls_on_kept_data()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_operator_is_freed_with_its_last_reference():
+    """The factored shift in an Operator's slot refers to no Operator, so
+    dropping the last reference frees it at once, without the collector."""
+    op = rg.Operator(rg.random_dense(8, 1))
+    rg.analyze_point(op, 0.5 + 0.5j)
+    ref = weakref.ref(op)
+    del op
+    assert ref() is None
 
 
 def test_failed_shift_is_not_kept():

@@ -262,14 +262,25 @@ def test_find_path_past_saddle(weights, vertices):
     assert len(path.vertices) == vertices
 
 
-def test_find_path_evaluates_each_step_once():
-    # the saddle query above rejects many steps before the fan takes over;
-    # the search may succeed or fail, but no call, the certificate's
-    # included, is made twice, and on this query the search evaluates no
-    # point twice: not a vertex, an endpoint, a floor sample or a fan probe
+def _saddle_query():
     a = rg.operator_from_inverse(rg.circulant_weighted_shift_inverse([2, 1]))
-    z = 0.05j
-    eps = 1.2 / rg.resolvent_norm(a, z)
+    return a, 0.05j, 1.2 / rg.resolvent_norm(a, 0.05j)
+
+
+def _jordan_query():
+    a, z = rg.jordan_block(16, 0.5), 0.536 - 0.176j
+    return a, z, 1.3 * float(np.linalg.svd(a - z * np.eye(16), compute_uv=False)[-1])
+
+
+@pytest.mark.parametrize("query", [_saddle_query, _jordan_query], ids=["saddle", "jordan"])
+def test_find_path_evaluates_each_step_once(query):
+    # the saddle query above rejects many steps before the fan takes over,
+    # and the Jordan query of the path suite steps along a fan direction
+    # through its own probe point; the search may succeed or fail, but no
+    # call, the certificate's included, is made twice, and on these queries
+    # the search evaluates no point twice: not a vertex, an endpoint, a
+    # floor sample or a fan probe
+    a, z, eps = query()
     calls = []
     search_calls = None
 

@@ -21,7 +21,10 @@ prints the same lines.  The groups are
   The last runs, ``SCHUR_RUNS``, reach the Schur-form routes of
   ``sigma_min_batch`` at n = 48: inverse Lanczos for a localmin probe
   and a grid on ``random_dense(48, 3)``, and the Weyl formula on T for a
-  grid on the unitary shift with 48 unit weights.
+  grid on the unitary shift with 48 unit weights.  The final runs,
+  ``GUARD_RUNS``, reach the Lipschitz guard of
+  ``ShiftedSolver.solve_nearby``: a Taylor check on ``jordan_block(16, 0)``
+  at z = 0.3 whose step point 0.16 is singular (exit 3).
 
 BLAS runs on one thread.  The whole run takes a few seconds.
 """
@@ -103,7 +106,13 @@ SCHUR_RUNS = (
     ["grid", "u48.json", "--bounds=-1.5,1.5,-1.5,1.5", "--nx", "10", "--ny", "10",
      "--epsilon", "0.3", "--csv", "gu48.csv"],
 )
-CLI_RUNS += SCHUR_RUNS
+# the guard's sigma_min at the step points and its NearSingularError payload
+GUARD_RUNS = (
+    ["examples", "jordan", "--n", "16", "--lam", "0,0", "-o", "j16z.json"],
+    ["taylor", "j16z.json", "--z", "0.3,0", "--theta", "3.141592653589793",
+     "--steps", "0.14,0.07"],
+)
+CLI_RUNS += SCHUR_RUNS + GUARD_RUNS
 
 
 def _sha(text: str) -> str:
