@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import os
 from functools import cache, cached_property, lru_cache, partial
+from itertools import cycle
 from typing import NamedTuple
 
 import numpy as np
@@ -356,16 +357,18 @@ def sigma_min_batch(a, zs) -> np.ndarray:
 
     Never raises on singularity: exact hits store 0 (in Lanczos, z = some
     t_ii).  One loop hands the route chunks of points whose temporaries
-    stay below about ``_CHUNK_BYTES``; on the SVD route, a batch of at least
-    ``_SPLIT_MIN_POINTS`` points runs in at least one chunk per CPU of the
-    process on a thread pool.  numpy's SVD factors each matrix alone (it frees
-    the GIL for slices of >= ~500/n), so the values are bitwise those of one thread.
+    stay below about ``_CHUNK_BYTES``; on the SVD route, count points go in at
+    least min(CPUs of the process, count, count·n // ``_SPLIT_MIN_ROWS``) chunks
+    and, if that is 2 or more, on the thread pool, one worker pinned per CPU.  numpy's
+    SVD factors each matrix alone (slices of >= 512 rows ran side by side), so the
+    values are bitwise those of one thread.
     """
     op = as_operator(a)
     zs = _complex_array("zs", zs, 1, low=0)
     count, n = zs.shape[0], op.matrix.shape[0]
     route = op._sigma_route if count >= _SCHUR_MIN_POINTS or op._diagonal else None
-    workers = _workers() if route is None and count >= _SPLIT_MIN_POINTS else 1
+    slices = min(count, count * n // _SPLIT_MIN_ROWS) if route is None else 1
+    workers = min(slices, _workers()) if slices > 1 else 1
     route = route or partial(_sigma_min_svd, op.matrix)
     out = np.empty(count, dtype=float)
     run = _pool().map if workers > 1 else map
@@ -388,10 +391,23 @@ def _workers() -> int:
 @cache
 def _pool():
     """The thread pool, made on first use (importing concurrent.futures takes
-    about 5 ms); a forked child, without its parent's threads, makes its own."""
+    about 5 ms), each worker pinned to its own CPU of the process where the OS
+    allows; a forked child, without its parent's threads, makes its own."""
     from concurrent.futures import ThreadPoolExecutor
 
-    return ThreadPoolExecutor(_workers(), thread_name_prefix="resgrow")
+    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else None
+    pin = partial(_pin, cycle(cpus)) if cpus else None
+    return ThreadPoolExecutor(_workers(), thread_name_prefix="resgrow", initializer=pin)
+
+
+def _pin(cpus) -> None:
+    """Pin the calling worker thread to the next of cpus, or leave it unpinned if
+    the OS refuses: a raising initializer would break the pool for good."""
+    cpu = next(cpus)
+    try:
+        os.sched_setaffinity(0, {cpu})
+    except OSError:
+        pass
 
 
 if hasattr(os, "register_at_fork"):
@@ -400,13 +416,13 @@ if hasattr(os, "register_at_fork"):
 
 # A diagonal A aside, the batched SVD beats factoring T plus inverse Lanczos below either
 # size (tools/sigma_min_crossover.py); the Ritz value settling tolerance; the Lanczos step
-# cap; the bound on one chunk's temporaries; the batch size from which the split SVD pays.
+# cap; the bound on one chunk's temporaries; the rows per slice from which the split SVD pays.
 _SCHUR_MIN_N = 48
 _SCHUR_MIN_POINTS = 64
 _LANCZOS_REL = 1e-14
 _LANCZOS_MAX_ITER = 24
 _CHUNK_BYTES = 1 << 26
-_SPLIT_MIN_POINTS = 1024
+_SPLIT_MIN_ROWS = 512
 
 
 def _solve_upper(t: np.ndarray, dg: np.ndarray, b: np.ndarray) -> np.ndarray:

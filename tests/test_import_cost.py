@@ -50,19 +50,23 @@ def test_small_sigma_min_batch_does_not_load_scipy():
 
 def test_batches_below_the_split_floor_do_not_load_the_thread_pool():
     """concurrent.futures, about 5 ms to import, is loaded only when a batch
-    of at least _SPLIT_MIN_POINTS points on the SVD route is split over two
-    or more CPUs: not by `import resgrow`, nor by smaller batches, nor by
-    large ones on a diagonal A.  (scipy.linalg imports it itself.)"""
+    on the SVD route is split over two or more CPUs, which takes at least
+    _SPLIT_MIN_ROWS = 512 rows (points x n) per CPU: not by `import resgrow`,
+    nor by smaller batches, nor by large ones on a diagonal A.  A growth
+    check's 17-point segment splits from n = 61.  (scipy.linalg imports it
+    itself.)"""
     assert _modules_after("pass", "concurrent") == "[]"
     below = (
         "resgrow.linalg._workers = lambda: 2; "
         "zs = np.linspace(0.1, 1.0, 2048) + 0.5j; "
-        "resgrow.sigma_min_batch(resgrow.jordan_block(8, 0.0), zs[:1023]); "
+        "resgrow.sigma_min_batch(resgrow.jordan_block(8, 0.0), zs[:127]); "
+        "resgrow.sigma_min_batch(resgrow.random_dense(60, 0), zs[:17]); "
         "resgrow.sigma_min_batch(resgrow.zigzag_diagonal(10), zs)"
     )
     assert _modules_after(below, "concurrent") == "[]"
-    above = below + "; resgrow.sigma_min_batch(resgrow.jordan_block(8, 0.0), zs[:1024])"
-    assert "'concurrent.futures'" in _modules_after(above, "concurrent")
+    for split in ("jordan_block(8, 0.0), zs[:128]", "random_dense(61, 0), zs[:17]"):
+        above = f"{below}; resgrow.sigma_min_batch(resgrow.{split})"
+        assert "'concurrent.futures'" in _modules_after(above, "concurrent")
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity here")

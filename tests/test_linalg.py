@@ -592,9 +592,11 @@ def test_sigma_min_batch_dispatch():
     zigzag = rg.zigzag_diagonal(64)
     with mock.patch.object(linalg, "_inverse_lanczos", side_effect=AssertionError):
         _assert_matches_svd(zigzag, zs, rg.sigma_min_batch(zigzag, zs))
-    # one point too few, or n one too small: the batched SVD
-    assert _svd_batches(a, zs[:63])[1] == [63]
-    assert _svd_batches(rg.random_dense(47, 1), zs)[1] == [96]
+    # one point too few, or n one too small: the batched SVD, over two CPUs
+    # in two slices of at least _SPLIT_MIN_ROWS rows (points x n) each
+    with mock.patch.object(linalg, "_workers", lambda: 2):
+        assert sorted(_svd_batches(a, zs[:63])[1]) == [31, 32]
+        assert _svd_batches(rg.random_dense(47, 1), zs)[1] == [48, 48]
     # a diagonal A takes the shortcut at any n and batch size, a small
     # non-diagonal one the batched SVD
     with (
@@ -742,10 +744,10 @@ def _svd_threads(a, zs):
 
 
 def _split_points(a, seed: int, count: int = 0) -> np.ndarray:
-    """count points (default: just above the split floor), with exact hits
-    of a's first eigenvalue spread over the slices."""
+    """count points (default: above the two-CPU split floor at every n), with
+    exact hits of a's first eigenvalue spread over the slices."""
     rng = np.random.default_rng(seed)
-    count = count or linalg._SPLIT_MIN_POINTS + 37
+    count = count or 2 * linalg._SPLIT_MIN_ROWS + 37
     zs = rng.standard_normal(count) + 1j * rng.standard_normal(count)
     zs[::97] = rg.eigenvalues(a)[0]
     return zs
@@ -774,21 +776,85 @@ def test_split_sigma_min_batch_is_bitwise_one_thread(monkeypatch, a):
 
 
 def test_sigma_min_batch_below_the_floor_starts_no_thread(monkeypatch):
-    """A batch below the split floor, and a large batch on any route but
-    the SVD, runs on the calling thread and never asks for the pool."""
+    """A batch below the split floor, fewer than _SPLIT_MIN_ROWS rows (points
+    x n) per CPU, and a large batch on any route but the SVD, runs on the
+    calling thread and never asks for the pool."""
     monkeypatch.setattr(linalg, "_workers", lambda: 2)
     monkeypatch.setattr(linalg, "_pool", mock.Mock(side_effect=AssertionError))
     threads = threading.active_count()
     a = rg.jordan_block(8, 0.0)
     zs = _split_points(a, 1)
-    vals, names = _svd_threads(a, zs[: linalg._SPLIT_MIN_POINTS - 1])
+    below = 2 * linalg._SPLIT_MIN_ROWS // 8 - 1
+    vals, names = _svd_threads(a, zs[:below])
     assert names == [threading.current_thread().name]
-    _assert_matches_svd(a, zs[: linalg._SPLIT_MIN_POINTS - 1], vals)
+    _assert_matches_svd(a, zs[:below], vals)
     # the min |a_ii - z| formula, Weyl on a normal T and inverse Lanczos
     unitary = rg.operator_from_inverse(rg.circulant_weighted_shift_inverse([1.0] * 48))
     for other in (rg.zigzag_diagonal(10), unitary, rg.random_dense(48, 3)):
         assert _svd_threads(other, zs)[1] == []
     assert threading.active_count() == threads
+
+
+def test_split_floor_counts_rows(monkeypatch):
+    """At n = 64 a growth check's 17-point segment, 1,088 rows, splits over two
+    CPUs into two slices with the one-thread values; 15 points, 960 rows,
+    stay on the calling thread."""
+    a = rg.random_dense(64, 5)
+    zs = _split_points(a, 5, count=17)
+    monkeypatch.setattr(linalg, "_workers", lambda: 1)
+    serial, _ = _svd_threads(a, zs)
+    monkeypatch.setattr(linalg, "_workers", lambda: 2)
+    split, names = _svd_threads(a, zs)
+    assert np.array_equal(split, serial) and len(names) == 2
+    assert all(name.startswith("resgrow") for name in names)
+    vals, names = _svd_threads(a, zs[:15])
+    assert np.array_equal(vals, serial[:15]) and names == [threading.current_thread().name]
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="needs CPU affinity and two CPUs",
+)
+def test_pool_workers_are_pinned_one_per_cpu():
+    """Each worker of the pool runs on one CPU of the process, no two on the
+    same; the calling thread keeps the CPUs it had."""
+    caller = os.sched_getaffinity(0)
+    workers = linalg._workers()
+    linalg._pool.cache_clear()
+    # each task waits for all the others, so every worker runs one
+    barrier = threading.Barrier(workers, timeout=30)
+
+    def affinity(_):
+        barrier.wait()
+        return os.sched_getaffinity(0)
+
+    cpus = list(linalg._pool().map(affinity, range(workers)))
+    assert all(len(one) == 1 for one in cpus)
+    assert set().union(*cpus) == caller
+    assert os.sched_getaffinity(0) == caller
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity here")
+def test_pinning_failure_leaves_the_pool_working(monkeypatch):
+    """Where the OS refuses to pin a worker, the worker runs unpinned: the pool
+    does not break, and split batches return the one-thread values."""
+    a = rg.jordan_block(8, 0.0)
+    zs = _split_points(a, 6)
+    monkeypatch.setattr(linalg, "_workers", lambda: 1)
+    expected = rg.sigma_min_batch(a, zs)
+
+    def refuse(pid, cpus):
+        raise OSError(22, "Invalid argument")
+
+    monkeypatch.setattr(os, "sched_setaffinity", refuse)
+    monkeypatch.setattr(linalg, "_workers", lambda: 2)
+    linalg._pool.cache_clear()
+    try:
+        for _ in range(3):
+            split, names = _svd_threads(a, zs)
+            assert np.array_equal(split, expected) and len(names) == 2
+    finally:
+        linalg._pool.cache_clear()
 
 
 def test_split_sigma_min_batch_raises_like_one_thread(monkeypatch):

@@ -225,7 +225,7 @@ def _calls_on_kept_data():
     rg.grid_metadata(grid, 0.1)
     grid.to_csv()
     zs = np.exp(2j * np.pi * np.arange(1500) / 1500) * 3.0
-    rg.sigma_min_batch(a, zs)  # at least _SPLIT_MIN_POINTS on the SVD route
+    rg.sigma_min_batch(a, zs)  # split on the SVD route: 24,000 rows
     rg.sigma_min_batch(rg.random_dense(48, 1), zs[:80])  # inverse Lanczos
 
 

@@ -51,7 +51,8 @@ def test_sigma_min_crossover_counts_svd_redos():
 
 def test_sigma_min_crossover_split_cell_runs():
     """The split table forces the split at every batch size through linalg's
-    private _SPLIT_MIN_POINTS and _workers, so renaming either breaks a test."""
+    private _SPLIT_MIN_ROWS and _workers, so renaming either breaks a test,
+    and times batches of slices just below and at the row floor."""
     tool = _load_tool("sigma_min_crossover")
     a = rg.random_dense(8, 8)
     zs = np.linspace(-2.0, 2.0, 64) + 0.5j
@@ -60,7 +61,8 @@ def test_sigma_min_crossover_split_cell_runs():
     with mock.patch.object(linalg, "_sigma_min_svd", wraps=linalg._sigma_min_svd) as svd:
         assert np.array_equal(tool.svd_on(2)(a, zs), tool.svd_on(1)(a, zs))
     assert svd.call_count == 3  # two slices, then one
-    assert linalg._SPLIT_MIN_POINTS == 1024
+    assert linalg._SPLIT_MIN_ROWS == 512
+    assert tool.floor_batches(64, 2) == (14, 16) and tool.floor_batches(48, 2) == (20, 22)
 
 
 def test_payload_hashes_cli_group_is_deterministic(tmp_path, monkeypatch):

@@ -28,13 +28,20 @@ its rows at n = 4, 16 and 32 show what that formula saves below
 0.5·sqrt(64) = 4, or scale 1.
 
 A third table times the batched SVD route of ``sigma_min_batch`` on one
-thread and split over every CPU the process may run on, for n in
-{4, 8, 16, 32} (``random_dense(n, n)``, below ``_SCHUR_MIN_N``, so every
-batch takes the SVD) and P in {64, 256, 1024, 4096, 16384}, with the
-split forced at every P.  ``_SPLIT_MIN_POINTS`` is the smallest P of
-this table at which the split wins at every n: at P = 64 and n = 4 or
-8 the split cost about 0.1-0.2 ms more per batch than it saved.  With
-one CPU the last two times of a cell are the same loop.
+thread and split over the w CPUs the process may run on, through the
+library's pool with its workers pinned, for n in {2, 4, 8, 16, 32, 48,
+64, 96} (``random_dense(n, n)``; every batch takes the SVD, as n <
+``_SCHUR_MIN_N`` or P < ``_SCHUR_MIN_POINTS``), with the split forced.
+Each row has two batches of w slices: P just below the row floor, the
+largest slices of fewer than ``_SPLIT_MIN_ROWS`` rows (points x n), and
+P at it, the smallest slices of at least that many.  The last column of
+each batch is the split's time over the one thread's.
+``_SPLIT_MIN_ROWS`` is the row count per slice from which the split wins
+at every n.  On 2 CPUs at --repeats 21, n = 16 to 96 took 1.00-1.06x as
+long split at 448-496 rows per slice and 0.52-0.56x at 512-576; n = 2,
+4 and 8 won on both sides (0.58-0.65x), so there the floor gives some of
+the gain away.  With one CPU the last two times of a cell are the same
+loop.
 """
 
 from __future__ import annotations
@@ -68,8 +75,7 @@ from resgrow.linalg import _inverse_lanczos, _sigma_min_svd  # noqa: E402
 
 SIZES = (16, 32, 48, 64, 96, 128)
 BATCHES = (1, 17, 33, 64, 96, 258)
-SPLIT_SIZES = (4, 8, 16, 32)
-SPLIT_BATCHES = (64, 256, 1024, 4096, 16384)
+SPLIT_SIZES = (2, 4, 8, 16, 32, 48, 64, 96)
 
 
 def grcar(n: int) -> np.ndarray:
@@ -123,7 +129,7 @@ def svd_on(workers: int):
 
     def route(a, zs):
         with (
-            mock.patch.object(linalg, "_SPLIT_MIN_POINTS", 0),
+            mock.patch.object(linalg, "_SPLIT_MIN_ROWS", 1),
             mock.patch.object(linalg, "_workers", lambda: workers),
         ):
             return sigma_min_batch(a, zs)
@@ -131,11 +137,22 @@ def svd_on(workers: int):
     return route
 
 
+def floor_batches(n: int, workers: int) -> tuple[int, int]:
+    """The batch sizes of workers equal slices just below and at
+    ``_SPLIT_MIN_ROWS`` rows per slice, at size n."""
+    at = -(-linalg._SPLIT_MIN_ROWS // n)
+    return workers * (at - 1), workers * at
+
+
 def cell(a, zs, repeats: int, *routes) -> str:
     """'svd / route / ...' microseconds per point for each route, by default
     ``lanczos_route``, right-aligned in 8 columns per time."""
     routes = (_sigma_min_svd, *(routes or (lanczos_route,)))
-    times = [us_per_point(route, a, zs, repeats) for route in routes]
+    return columns([us_per_point(route, a, zs, repeats) for route in routes])
+
+
+def columns(times) -> str:
+    """'t / t / ...' right-aligned in 8 columns per time."""
     # two decimals below 10 us: the Weyl formula takes under 1 us per point
     return " /".join(f"{t:.{0 if t >= 10 else 2}f}".rjust(6) for t in times).rjust(8 * len(times))
 
@@ -171,15 +188,22 @@ def main(argv=None) -> None:
             cells.append(f"{svd_redos(t, a, zs):>6}")
         print(f"{name:<22}" + "".join(cells))
     workers = linalg._workers()
+    split = svd_on(workers)
+    split(random_dense(4, 0), np.zeros(2 * workers, dtype=complex))  # makes the pool
     print(f"\nthe SVD route, us per point (svd / sigma_min_batch on 1 / on {workers} threads)")
-    print("    n " + "".join(f"{f'P={p}':>24}" for p in SPLIT_BATCHES))
+    print(f"and the split's time over one thread's, {workers} slices of P / {workers} points")
+    head = f"{'P':>6}{'rows':>6}{'below the row floor':>24}{'split':>7}"
+    print("    n" + head + head.replace("below the", "at the"))
     for n in SPLIT_SIZES:
         a = random_dense(n, n)
         cells = []
-        for p in SPLIT_BATCHES:
+        for p in floor_batches(n, workers):
             zs = 0.5 * np.sqrt(n) * (rng.standard_normal(p) + 1j * rng.standard_normal(p))
-            cells.append(cell(a, zs, args.repeats, svd_on(1), svd_on(workers)))
-        print(f"{n:>5} " + "".join(cells))
+            routes = (_sigma_min_svd, svd_on(1), split)
+            times = [us_per_point(route, a, zs, args.repeats) for route in routes]
+            ratio = times[2] / times[1]
+            cells.append(f"{p:>6}{p // workers * n:>6}{columns(times)}{ratio:>6.2f}x")
+        print(f"{n:>5}" + "".join(cells))
 
 if __name__ == "__main__":
     main()
