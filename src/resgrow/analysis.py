@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_CONFIG, RunConfig
+from .config import DEFAULT_CONFIG, RunConfig, _point, _real
 from .linalg import ShiftedSolver, as_operator, canonical_phase, spectral_distance
 from .serialize import Result
 
@@ -101,8 +101,11 @@ def classify_and_direction(
     """Three-way growth classification with the steepest direction angle.
 
     alpha and gamma are compared against tol_zero scaled by norm^3 and
-    norm^4 respectively (their natural magnitude bounds).
+    norm^4 respectively (their natural magnitude bounds).  ValueError unless
+    alpha and gamma are finite numbers and norm is positive and finite.
     """
+    alpha, gamma = _point("alpha", alpha), _point("gamma", gamma)
+    norm = _real("norm", norm, positive=True)
     if abs(alpha) > cfg.tol_zero * norm**3:
         return GrowthCase.LINEAR, _angle(alpha)
     if abs(gamma) > cfg.tol_zero * norm**4:

@@ -185,14 +185,18 @@ class BoundCheck(Result):
     witness: dict | None
 
 
-def verify_growth_bound(report: SegmentReport, expected_case: GrowthCase) -> BoundCheck:
+def verify_growth_bound(report: SegmentReport, expected_case: GrowthCase | str) -> BoundCheck:
     """Check the growth lower bound on every sample of a segment report.
 
-    The exponent is 1 for LINEAR and 2 for QUADRATIC or LOCAL_MIN, and
-    the constant is the fitted one shrunk by a safety factor of 0.5.
-    On failure the first offending sample is returned as the witness.
+    The exponent is 1 for LINEAR and 2 for QUADRATIC or LOCAL_MIN (a member
+    or its value; anything else is a ValueError), and the constant is the
+    fitted one shrunk by a safety factor of 0.5.  On failure the first
+    offending sample is returned as the witness.
     """
-    delta = 1 if expected_case is GrowthCase.LINEAR else 2
+    try:
+        delta = 1 if GrowthCase(expected_case) is GrowthCase.LINEAR else 2
+    except ValueError:
+        raise ValueError(f"expected_case must be a GrowthCase, got {expected_case!r}") from None
     if report.fitted_C is None or not report.fitted_C > 0.0:
         return BoundCheck(False, delta, None, None)
     c = 0.5 * report.fitted_C

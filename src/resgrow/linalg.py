@@ -236,9 +236,9 @@ class ShiftedSolver:
     """A factored shift A - zI for repeated solves.
 
     One SVD is computed at construction and reused for every
-    right-hand side, for the norm, and for the maximizing vector.  It keeps
-    A's array for the guard of ``solve_nearby`` (a copy unless read-only),
-    never an Operator, so it leaves ``as_operator``'s slot alone.
+    right-hand side, for the norm, and for the maximizing vector.  It holds
+    z, cfg, the matrix A - zI and its SVD, and nothing else: no copy of A and
+    no Operator, so it leaves ``as_operator``'s slot alone.
 
     Raises:
         ValueError: z is not a finite complex number.
@@ -247,7 +247,6 @@ class ShiftedSolver:
 
     def __init__(self, a, z: complex, cfg: RunConfig = DEFAULT_CONFIG):
         a = as_matrix(a)
-        self._a = _read_only(a.copy()) if a.flags.writeable else a
         self.z = _point("z", z)
         self.cfg = cfg
         self.matrix = a - self.z * np.eye(a.shape[0])
@@ -287,12 +286,12 @@ class ShiftedSolver:
         return x
 
     def solve_nearby(self, ws, b) -> np.ndarray:
-        """Rows x_k with (A - (z + w_k)I) x_k = b for the 1-D array ws, by one
+        """Rows x_k with ((A - zI) - w_k I) x_k = b for the 1-D array ws, by one
         batched LU solve per chunk, each held to ``_check_residual`` with
         ||A - zI||_2 - |w_k| <= ||A - (z + w_k)I||_2.  sigma_min is 1-Lipschitz
         in the shift, so only when sigma_min(A - zI) - max|w_k| <= tol_singular
-        + n·u·||A - zI||_2 does each chunk take one batched SVD of its A - (z + w_k)I
-        first; NearSingularError at the first z + w_k with sigma_min <= tol_singular."""
+        + n·u·||A - zI||_2 does each chunk first take one batched SVD of the stack it
+        solves; NearSingularError at the first z + w_k with sigma_min <= tol_singular."""
         n = self.matrix.shape[0]
         ws, b = _complex_array("ws", ws, 1), as_vector(b, n, "b")
         size, m_norm = np.abs(ws), float(self.decomposition.values[0])
@@ -300,9 +299,8 @@ class ShiftedSolver:
         out = np.empty((ws.shape[0], n), dtype=complex)
         for part in _chunks(n, ws.shape[0]):
             if guard:
-                us = self.z + ws[part]
-                for u, sigma in zip(us, _sigma_min_svd(self._a, us)):
-                    _check_singular(complex(u), float(sigma), self.cfg)
+                for w, sigma in zip(ws[part], _sigma_min_svd(self.matrix, ws[part])):
+                    _check_singular(self.z + complex(w), float(sigma), self.cfg)
             stack = self.matrix - ws[part, None, None] * np.eye(n)
             try:
                 x = out[part] = np.linalg.solve(stack, b[:, None])[..., 0]

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -103,6 +105,19 @@ def test_bound_check_linear(diag03, diag_point):
     # normal-matrix constant: fitted C close to 1/dist^2, halved
     assert check.constant >= 0.25
     assert check.witness is None
+
+
+def test_bound_check_takes_a_case_or_its_value(diag03, diag_point):
+    """verify_growth_bound takes a GrowthCase or its value; anything else
+    is a ValueError naming expected_case, not a silent delta = 2 check."""
+    report = rg.sample_segment(diag03, diag_point, 0.25, 8)
+    assert rg.verify_growth_bound(report, "linear") == rg.verify_growth_bound(
+        report, rg.GrowthCase.LINEAR
+    )
+    assert rg.verify_growth_bound(report, "local_min").delta == 2
+    for bad in ("cubic", None, 1):
+        with pytest.raises(ValueError, match="expected_case"):
+            rg.verify_growth_bound(report, bad)
 
 
 def test_bound_check_quadratic(shift2):
@@ -318,6 +333,28 @@ def test_probes_at_a_numerically_singular_shift_raise():
         rg.taylor_remainder_check(a, 0.1, np.eye(16)[0], 0.0, (0.01, 0.005))
     with pytest.raises(rg.NearSingularError):
         rg.taylor_remainder_check(a, 0.3, np.eye(16)[0], np.pi, (0.14, 0.07))
+
+
+def test_taylor_guard_across_chunks(monkeypatch):
+    """With one 16 x 16 stack per chunk, the guard of solve_nearby checks
+    every chunk's stack: the residuals on jordan_block(16, 0) at z = 0.3
+    equal the one-chunk run bitwise, and the singular step point 0.16 raises
+    with the one-chunk sigma_min."""
+    a, psi = rg.jordan_block(16, 0.0), np.eye(16)[0]
+
+    def run():
+        with pytest.raises(rg.NearSingularError) as err:
+            rg.taylor_remainder_check(a, 0.3, psi, np.pi, (0.14, 0.07))
+        return rg.taylor_remainder_check(a, 0.3, psi, 0.0, (1e-3, 5e-4)), err.value.sigma_min
+
+    check, sigma = run()
+    assert sigma == 1.7974507425422534e-13
+    monkeypatch.setattr(linalg, "_CHUNK_BYTES", 16 * 16 * 16)
+    with mock.patch.object(linalg, "_sigma_min_svd", wraps=linalg._sigma_min_svd) as svd:
+        chunked, chunked_sigma = run()
+    # the singular run stops at its first chunk; the other run's two chunks pass
+    assert [len(c.args[1]) for c in svd.call_args_list] == [1, 1, 1]
+    assert chunked.residuals == check.residuals and chunked_sigma == sigma
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

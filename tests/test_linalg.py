@@ -151,6 +151,27 @@ def test_as_vector_validation():
             lambda a, point, grid: rg.find_path(a, 10**400, Z),
             "epsilon must be positive and finite",
         ),
+        # classify_and_direction follows the scalar rule too
+        (
+            lambda a, point, grid: rg.classify_and_direction(0j, 0j, math.nan),
+            "norm must be positive",
+        ),
+        (
+            lambda a, point, grid: rg.classify_and_direction(0j, 0j, -1.0),
+            "norm must be positive",
+        ),
+        (
+            lambda a, point, grid: rg.classify_and_direction(True, 0j, 1.0),
+            "alpha must be a complex",
+        ),
+        (
+            lambda a, point, grid: rg.classify_and_direction("x", 0j, 1.0),
+            "alpha must be a complex",
+        ),
+        (
+            lambda a, point, grid: rg.classify_and_direction(0j, NAN, 1.0),
+            "gamma must be a complex",
+        ),
     ],
     ids=[
         "analyze-z", "path-z", "path-epsilon", "localmin-r0", "grid-nx", "segment-a0",
@@ -162,6 +183,8 @@ def test_as_vector_validation():
         "segment-direction-nan", "segment-direction-nan-long", "segment-no-direction-long",
         "grid-bound-inf", "jordan-lam-inf", "diagonal-inf",
         "path-epsilon-inf", "path-epsilon-bool", "analyze-z-huge-int", "path-epsilon-huge-int",
+        "classify-norm-nan", "classify-norm-negative", "classify-alpha-bool", "classify-alpha-str",
+        "classify-gamma-nan",
     ],
 )
 def test_non_number_scalars_raise_value_error(call, message):
@@ -706,6 +729,15 @@ def test_eigenvalues_raises_on_lapack_failure():
         pytest.raises(rg.DecompositionError, match="eigenvalue computation failed: forced failure"),
     ):
         rg.eigenvalues(np.eye(2))
+
+
+def test_solver_keeps_no_copy_of_a():
+    """A ShiftedSolver built from a writable array holds A - zI and its SVD,
+    and no array equal to A."""
+    a = rg.random_dense(6, 1)
+    solver = rg.ShiftedSolver(a, 0.25)
+    arrays = [v for v in vars(solver).values() if isinstance(v, np.ndarray)]
+    assert arrays and not any(np.array_equal(v, a) for v in arrays)
 
 
 def test_solve_nearby_raises_on_lu_failure(diag03):

@@ -100,6 +100,30 @@ def test_payload_hashes_schur_runs_take_the_schur_routes(tmp_path, monkeypatch):
     assert calls["grid u48.json"] == (0, 0)
 
 
+def test_payload_hashes_guard_run_takes_the_guard(tmp_path, monkeypatch):
+    """The hash tool's Taylor run on jordan_block(16, 0) exits 3 through the
+    Lipschitz guard of ShiftedSolver.solve_nearby, whose batched SVD is
+    called from there.  A change that moves it off the guard breaks this test."""
+    monkeypatch.chdir(tmp_path)
+    tool = _load_tool("payload_hashes")
+    callers = []
+    real = linalg._sigma_min_svd
+
+    def recording(a, zs):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return real(a, zs)
+
+    with (
+        mock.patch.object(linalg, "_sigma_min_svd", recording),
+        contextlib.redirect_stdout(io.StringIO()),
+        contextlib.redirect_stderr(io.StringIO()),
+    ):
+        codes = [tool.cli_main(argv) for argv in tool.GUARD_RUNS]
+    assert [argv[0] for argv in tool.GUARD_RUNS] == ["examples", "taylor"]
+    assert codes == [0, 3]
+    assert callers and set(callers) == {"solve_nearby"}
+
+
 def test_bench_tracer_targets_resolve():
     """The benchmark's tracer looks up each of its targets by module and
     name, so renaming or deleting one must break a test here."""
