@@ -204,8 +204,8 @@ class Operator:
 
     @cached_property
     def _sigma_route(self):
-        """``sigma_min_batch``'s route for a diagonal A or a large batch: a function of
-        one chunk, or None for the batched SVD.  T is factored only where Lanczos pays."""
+        """``sigma_min_batch``'s route for a diagonal A or a large batch: a function of one
+        chunk, NaN where it gives up, or None.  T is factored only where Lanczos pays."""
         a, n = self.matrix, self.matrix.shape[0]
         t = a if self._diagonal else self.schur if n >= _SCHUR_MIN_N else None
         if t is None:
@@ -214,7 +214,7 @@ class Operator:
         if off <= n * np.finfo(float).eps * np.linalg.norm(t):
             d = np.diagonal(t)[:, None]
             return lambda zs: np.abs(d - zs).min(axis=0) + off  # Weyl
-        return partial(_inverse_lanczos, t, a)
+        return partial(_inverse_lanczos, t)
 
 
 def as_operator(obj) -> Operator:
@@ -298,10 +298,10 @@ class ShiftedSolver:
         guard = self.sigma_min - size.max() <= self.cfg.tol_singular + n * np.finfo(float).eps * m_norm
         out = np.empty((ws.shape[0], n), dtype=complex)
         for part in _chunks(n, ws.shape[0]):
-            if guard:
-                for w, sigma in zip(ws[part], _sigma_min_svd(self.matrix, ws[part])):
-                    _check_singular(self.z + complex(w), float(sigma), self.cfg)
             stack = self.matrix - ws[part, None, None] * np.eye(n)
+            if guard:
+                for w, sigma in zip(ws[part], _sigma_min_svd(stack, self.z + ws[part])):
+                    _check_singular(self.z + complex(w), float(sigma), self.cfg)
             try:
                 x = out[part] = np.linalg.solve(stack, b[:, None])[..., 0]
             except np.linalg.LinAlgError as exc:
@@ -337,41 +337,46 @@ def shifted_solve(a, z: complex, b, cfg: RunConfig = DEFAULT_CONFIG) -> np.ndarr
 def sigma_min_batch(a, zs) -> np.ndarray:
     """Smallest singular value of A - zI for every z in a 1-D array zs.
 
-    A is a matrix or an Operator; ValueError unless zs is 1-D and its
-    entries are finite numbers.  zs may be empty.  The Operator picks the
-    route once.  A diagonal A (no nonzero entry off the diagonal) takes
-    min_i |a_ii - z|, exact, at any batch size.  Fewer than
-    ``_SCHUR_MIN_POINTS`` points on any other A take one batched SVD of
-    the shifted matrices per chunk, the accuracy reference.  For more, at
-    n >= ``_SCHUR_MIN_N``, the Schur form A = Z T Z* is factored: if
-    N = triu(T, 1) has ||N||_F <= n·u·||T||_F (a normal A), sigma_min(T - zI)
-    is min_i |t_ii - z| + ||N||_F (Weyl); else inverse Lanczos on
-    ((T - zI)*(T - zI))^-1 runs for all points in lockstep until the top
-    Ritz value settles to 1e-14 relative, and the SVD redoes points that
-    overflow or do not settle in ``_LANCZOS_MAX_ITER`` steps.  Else, or if
-    T is not at hand, the SVD.  Weyl and Lanczos agree with the SVD to
-    1e-12·sigma + n·u·||A||_F and bound sigma_min(T - zI) from above.  Only
-    factoring T imports scipy.
+    A is a matrix or an Operator; ValueError unless zs is 1-D, maybe empty, of finite
+    numbers.  The Operator picks the route once.  A diagonal A (no nonzero entry off
+    the diagonal) takes min_i |a_ii - z|, exact, at any batch size.  From
+    ``_SCHUR_MIN_POINTS`` points at n >= ``_SCHUR_MIN_N`` the Schur form A = Z T Z* is
+    factored: if N = triu(T, 1) has ||N||_F <= n·u·||T||_F (a normal A),
+    sigma_min(T - zI) is min_i |t_ii - z| + ||N||_F (Weyl); else inverse Lanczos on
+    ((T - zI)*(T - zI))^-1 runs for all points in lockstep until the top Ritz value
+    settles to 1e-14 relative, and gives up on points that overflow or do not settle in
+    ``_LANCZOS_MAX_ITER`` steps.  Weyl and Lanczos agree with the SVD to
+    1e-12·sigma + n·u·||A||_F and bound sigma_min(T - zI) from above; only T imports scipy.
 
-    Never raises on singularity: exact hits store 0 (in Lanczos, z = some
-    t_ii).  One loop hands the route chunks of points whose temporaries
-    stay below about ``_CHUNK_BYTES``; on the SVD route, count points go in at
-    least min(CPUs of the process, count, count·n // ``_SPLIT_MIN_ROWS``) chunks
-    and, if that is 2 or more, on the thread pool, one worker pinned per CPU.  numpy's
-    SVD factors each matrix alone (slices of >= 512 rows ran side by side), so the
-    values are bitwise those of one thread.
+    The batched SVD of the shifted matrices, the accuracy reference, answers every point
+    that no route applies to or the route gave up on.  Never raises on singularity:
+    exact hits store 0 (in Lanczos, z = some t_ii).  A route runs on chunks of points
+    whose temporaries stay below about ``_CHUNK_BYTES``; the SVD's count points go in at
+    least min(CPUs of the process, count, count·n // ``_SPLIT_MIN_ROWS``) chunks and, if
+    that is 2 or more, on the thread pool, one worker pinned per CPU.  numpy's SVD
+    factors each matrix alone (slices of >= 512 rows ran side by side), so the values
+    are bitwise those of one thread.
     """
     op = as_operator(a)
     zs = _complex_array("zs", zs, 1, low=0)
     count, n = zs.shape[0], op.matrix.shape[0]
     route = op._sigma_route if count >= _SCHUR_MIN_POINTS or op._diagonal else None
-    slices = min(count, count * n // _SPLIT_MIN_ROWS) if route is None else 1
+    out, left = np.empty(count, dtype=float), slice(None)
+    if route is not None:
+        for part in _chunks(n, count):
+            out[part] = route(zs[part])
+        left = np.flatnonzero(np.isnan(out))
+    todo, sigma = zs[left], out[left]  # views of zs and out when no route ran
+    slices = min(todo.shape[0], todo.shape[0] * n // _SPLIT_MIN_ROWS)
     workers = min(slices, _workers()) if slices > 1 else 1
-    route = route or partial(_sigma_min_svd, op.matrix)
-    out = np.empty(count, dtype=float)
     run = _pool().map if workers > 1 else map
-    for part, values in run(lambda part: (part, route(zs[part])), _chunks(n, count, workers)):
-        out[part] = values
+
+    def svd(part):
+        return part, _sigma_min_svd(op.matrix - todo[part, None, None] * np.eye(n), todo[part])
+
+    for part, values in run(svd, _chunks(n, todo.shape[0], workers)):
+        sigma[part] = values
+    out[left] = sigma
     return out
 
 
@@ -432,10 +437,9 @@ def _solve_upper(t: np.ndarray, dg: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def _inverse_lanczos(t: np.ndarray, a: np.ndarray, zs: np.ndarray) -> np.ndarray:
+def _inverse_lanczos(t: np.ndarray, zs: np.ndarray) -> np.ndarray:
     """sigma_min(T - zI) by Lanczos on ((T - zI)*(T - zI))^-1, all points in
-    lockstep from one start vector; the SVD of A - zI redoes the points
-    where it overflows or does not settle."""
+    lockstep from one start vector; NaN where it overflows or does not settle."""
     n, cap = t.shape[0], _LANCZOS_MAX_ITER
     dg = np.diagonal(t)[:, None] - zs[None, :]
     out = np.where((dg == 0.0).any(axis=0), 0.0, np.nan)
@@ -470,19 +474,15 @@ def _inverse_lanczos(t: np.ndarray, a: np.ndarray, zs: np.ndarray) -> np.ndarray
             state = (act, dg, dg_low, q, w, beta, theta, coef)
             act, dg, dg_low, q_prev, w, beta, theta, coef = (v[..., keep] for v in state)
             q = w / beta
-    redo = np.isnan(out)
-    if redo.any():
-        out[redo] = _sigma_min_svd(a, zs[redo])
     return out
 
 
-def _sigma_min_svd(a: np.ndarray, zs: np.ndarray) -> np.ndarray:
-    stack = a - zs[:, None, None] * np.eye(a.shape[0])
+def _sigma_min_svd(stack: np.ndarray, zs: np.ndarray) -> np.ndarray:
+    """sigma_min of each matrix of the stack, A - zs[k]I; if the batched driver fails, one matrix
+    at a time, so one bad shift cannot poison its neighbors, and a failing one names its zs[k]."""
     try:
         return np.linalg.svd(stack, compute_uv=False)[:, -1]
     except np.linalg.LinAlgError:
-        # the batched driver failed somewhere in the batch; go one matrix
-        # at a time so a single bad shift cannot poison its neighbors
         out = np.empty(zs.shape[0])
         for k, m in enumerate(stack):
             try:

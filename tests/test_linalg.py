@@ -644,6 +644,46 @@ def test_sigma_min_batch_dispatch():
     _assert_matches_svd(jordan, zs, vals)
 
 
+def _jordan_dispatch_points():
+    """The Jordan points of test_sigma_min_batch_dispatch, from the same draws:
+    93 inside the unit disk around 0.5, then three where sigma_min underflows."""
+    rng = np.random.default_rng(11)
+    rng.standard_normal(96), rng.standard_normal(96)  # that test's first batch
+    inside = 0.5 + rng.uniform(0.3, 0.9, 93) * np.exp(2j * np.pi * rng.uniform(size=93))
+    return np.concatenate((inside, 0.5 + np.array([1e-4, 1e-5j, -1e-6])))
+
+
+def test_inverse_lanczos_leaves_nan_where_it_gives_up():
+    """Inverse Lanczos is a function of its chunk alone: it makes no SVD, stores 0
+    at exact hits and NaN where it overflows, the three points next to the Jordan
+    eigenvalue that the dispatch test sees the SVD answer; its other values match
+    the SVD."""
+    jordan = rg.jordan_block(64, 0.5)
+    t, zs = rg.Operator(jordan).schur, _jordan_dispatch_points()
+    with mock.patch.object(linalg, "_sigma_min_svd", side_effect=AssertionError):
+        vals = linalg._inverse_lanczos(t, zs)
+        assert linalg._inverse_lanczos(t, np.array([0.5, 2.0]))[0] == 0.0
+    assert np.flatnonzero(np.isnan(vals)).tolist() == [93, 94, 95]
+    _assert_matches_svd(jordan, zs[:93], vals[:93])
+
+
+def test_sigma_min_batch_splits_the_points_lanczos_leaves():
+    """The points inverse Lanczos gives up on join the split batched SVD: 91 of 96
+    Gaussian points of scale 4 on jordan_block(64, 0.5) go to two CPUs in slices
+    of 45 and 46, with values bitwise those of one CPU."""
+    jordan = rg.Operator(rg.jordan_block(64, 0.5))
+    rng = np.random.default_rng(0)
+    zs = 4.0 * (rng.standard_normal(96) + 1j * rng.standard_normal(96))
+    with mock.patch.object(linalg, "_workers", lambda: 1):
+        one, sizes = _svd_batches(jordan, zs)
+    assert sizes == [91]
+    with mock.patch.object(linalg, "_workers", lambda: 2):
+        two, sizes = _svd_batches(jordan, zs)
+    assert sorted(sizes) == [45, 46]
+    assert one.tobytes() == two.tobytes()
+    _assert_matches_svd(jordan.matrix, zs, two)
+
+
 def test_matrix_dict_roundtrip():
     rng = np.random.default_rng(29)
     a = random_matrix(rng, 4)
@@ -1009,3 +1049,25 @@ def test_sigma_min_svd_retries_one_matrix_at_a_time():
     ):
         rg.sigma_min_batch(a, zs)
     assert str(err.value) == f"SVD failed to converge at z={zs[2]}: forced failure"
+
+
+def test_guard_svd_failure_names_the_step_point():
+    """When the Lipschitz guard of ShiftedSolver.solve_nearby finds its batched
+    SVD and one step's matrix failing, the error names that step point z + w_k
+    (jordan_block(16, 0) at z = 0.3, the step 0.07 along theta0 = pi), not w_k."""
+    a, z = rg.jordan_block(16, 0.0), 0.3
+    ws = np.array([0.14, 0.07]) * np.exp(-1j * np.pi)
+    bad = (a - z * np.eye(16)) - ws[1] * np.eye(16)
+    real_svd = np.linalg.svd
+
+    def bad_one_fails(m, *args, **kwargs):
+        if m.ndim == 3 or np.array_equal(m, bad):
+            _failing()
+        return real_svd(m, *args, **kwargs)
+
+    with (
+        mock.patch("numpy.linalg.svd", bad_one_fails),
+        pytest.raises(rg.DecompositionError) as err,
+    ):
+        rg.taylor_remainder_check(a, z, np.eye(16)[0], np.pi, (0.14, 0.07))
+    assert str(err.value) == f"SVD failed to converge at z={z + ws[1]}: forced failure"

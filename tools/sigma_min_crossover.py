@@ -15,10 +15,11 @@ repeats, on one BLAS thread.  The thresholds ``_SCHUR_MIN_N`` and
 A second table times, at P = 96, the batched SVD, the route
 ``sigma_min_batch`` takes (its choice of route included) and inverse
 Lanczos with T factored outside the timing, and counts the points that
-Lanczos hands back to the SVD because they overflow or reach the step
-cap.  At n = 64 the route is inverse Lanczos on random_dense, Jordan
-and Grcar, where the singular values cluster, so Lanczos converges
-slowly and some points are redone.  The n = 32 rows and grid-map's two
+Lanczos leaves NaN for the SVD because they overflow or reach the step
+cap.  Every Lanczos column of the two tables includes the batched SVD of
+those points on one thread.  At n = 64 the route is inverse Lanczos on
+random_dense, Jordan and Grcar, where the singular values cluster, so
+Lanczos converges slowly and some points are redone.  The n = 32 rows and grid-map's two
 non-diagonal specimens, shift [2,1,1,1] and jordan_block(8, 0), take
 the SVD today; their Lanczos times show what lowering ``_SCHUR_MIN_N``
 would do to them.  zigzag is diagonal and takes the min |a_ii - z|
@@ -95,23 +96,32 @@ STRUCTURED = {
 }
 
 
+def svd_route(a, zs):
+    """The batched SVD of every shift A - zI, on one thread."""
+    return _sigma_min_svd(a - zs[:, None, None] * np.eye(a.shape[0]), zs)
+
+
+def lanczos_on(t):
+    """Inverse Lanczos on T, then the batched SVD of the points it leaves
+    NaN, on one thread: a route of (a, zs) with T factored outside it."""
+
+    def route(a, zs):
+        out = _inverse_lanczos(t, zs)
+        left = np.isnan(out)
+        out[left] = svd_route(a, zs[left])
+        return out
+
+    return route
+
+
 def lanczos_route(a, zs):
-    """The inverse Lanczos route, its Schur factorization and its SVD redo
-    of unsettled points included, as one chunk of ``sigma_min_batch`` runs it."""
-    return _inverse_lanczos(Operator(a).schur, a, zs)
+    """``lanczos_on`` with the Schur factorization of A inside the route."""
+    return lanczos_on(Operator(a).schur)(a, zs)
 
 
-def svd_redos(t, a, zs) -> int:
-    """How many points of zs inverse Lanczos on T hands back to the SVD."""
-    redone = []
-
-    def counting(a, zs):
-        redone.append(zs.shape[0])
-        return _sigma_min_svd(a, zs)
-
-    with mock.patch("resgrow.linalg._sigma_min_svd", counting):
-        _inverse_lanczos(t, a, zs)
-    return sum(redone)
+def svd_redos(t, zs) -> int:
+    """How many points of zs inverse Lanczos on T leaves NaN for the SVD."""
+    return int(np.isnan(_inverse_lanczos(t, zs)).sum())
 
 
 def us_per_point(route, a, zs, repeats: int) -> float:
@@ -147,7 +157,7 @@ def floor_batches(n: int, workers: int) -> tuple[int, int]:
 def cell(a, zs, repeats: int, *routes) -> str:
     """'svd / route / ...' microseconds per point for each route, by default
     ``lanczos_route``, right-aligned in 8 columns per time."""
-    routes = (_sigma_min_svd, *(routes or (lanczos_route,)))
+    routes = (svd_route, *(routes or (lanczos_route,)))
     return columns([us_per_point(route, a, zs, repeats) for route in routes])
 
 
@@ -169,7 +179,7 @@ def main(argv=None) -> None:
     print("    n " + "".join(f"{f'P={p}':>24}" for p in BATCHES))
     for n in SIZES:
         a = random_dense(n, n)
-        cached = partial(_inverse_lanczos, Operator(a).schur)
+        cached = lanczos_on(Operator(a).schur)
         cells = []
         for p in BATCHES:
             zs = 0.5 * np.sqrt(n) * (rng.standard_normal(p) + 1j * rng.standard_normal(p))
@@ -184,8 +194,8 @@ def main(argv=None) -> None:
         cells = []
         for scale in (0.5 * np.sqrt(64), 1.0):
             zs = scale * (rng.standard_normal(96) + 1j * rng.standard_normal(96))
-            cells.append(cell(a, zs, args.repeats, sigma_min_batch, partial(_inverse_lanczos, t)))
-            cells.append(f"{svd_redos(t, a, zs):>6}")
+            cells.append(cell(a, zs, args.repeats, sigma_min_batch, lanczos_on(t)))
+            cells.append(f"{svd_redos(t, zs):>6}")
         print(f"{name:<22}" + "".join(cells))
     workers = linalg._workers()
     split = svd_on(workers)
@@ -199,7 +209,7 @@ def main(argv=None) -> None:
         cells = []
         for p in floor_batches(n, workers):
             zs = 0.5 * np.sqrt(n) * (rng.standard_normal(p) + 1j * rng.standard_normal(p))
-            routes = (_sigma_min_svd, svd_on(1), split)
+            routes = (svd_route, svd_on(1), split)
             times = [us_per_point(route, a, zs, args.repeats) for route in routes]
             ratio = times[2] / times[1]
             cells.append(f"{p:>6}{p // workers * n:>6}{columns(times)}{ratio:>6.2f}x")
