@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_CONFIG, RunConfig, _point, _real
+from .config import DEFAULT_CONFIG, RunConfig, _point, _real, _run_config
 from .linalg import ShiftedSolver, as_operator, canonical_phase, spectral_distance
 from .serialize import Result
 
@@ -105,7 +105,7 @@ def classify_and_direction(
     alpha and gamma are finite numbers and norm is positive and finite.
     """
     alpha, gamma = _point("alpha", alpha), _point("gamma", gamma)
-    norm = _real("norm", norm, positive=True)
+    norm, cfg = _real("norm", norm, positive=True), _run_config(cfg)
     if abs(alpha) > cfg.tol_zero * norm**3:
         return GrowthCase.LINEAR, _angle(alpha)
     if abs(gamma) > cfg.tol_zero * norm**4:

@@ -2,7 +2,8 @@
 
 A single frozen dataclass carries every tunable used by the library.
 Each function that reads one takes an optional ``cfg`` argument
-defaulting to ``DEFAULT_CONFIG``; the CLI builds one from an optional
+defaulting to ``DEFAULT_CONFIG`` and raises ValueError, before it computes
+anything, when ``cfg`` is not a RunConfig; the CLI builds one from an optional
 JSON file plus flag overrides.  No environment variables are consulted.
 """
 
@@ -38,12 +39,16 @@ def _integer(name: str, value, low: int) -> int:
     return int(value)
 
 
-def _real(name: str, value, low: float = -math.inf, positive: bool = False) -> float:
-    """A finite real >= low, or > 0 when positive."""
-    ok = isinstance(value, numbers.Real) and _is_number(value) and _finite(value)
+def _real(
+    name: str, value, low: float = -math.inf, positive: bool = False, finite: bool = True
+) -> float:
+    """A real >= low, or > 0 when positive: finite, or with finite=False also +-inf."""
+    ok = isinstance(value, numbers.Real) and _is_number(value)
+    ok = ok and (_finite(value) or not finite and abs(value) == math.inf)
     if not (ok and (value > 0 if positive else value >= low)):
         what = "positive" if positive else "a number" + (f" >= {low}" if low > -math.inf else "")
-        raise ValueError(f"{name} must be {what} and finite, got {value!r}")
+        what += " and finite" if finite else " and not NaN"
+        raise ValueError(f"{name} must be {what}, got {value!r}")
     return float(value)
 
 
@@ -51,6 +56,12 @@ def _point(name: str, value) -> complex:
     if not (_is_number(value) and _finite(value)):
         raise ValueError(f"{name} must be a complex number and finite, got {value!r}")
     return complex(value)
+
+
+def _run_config(cfg) -> RunConfig:
+    if not isinstance(cfg, RunConfig):
+        raise ValueError(f"cfg must be a RunConfig, got {cfg!r}")
+    return cfg
 
 
 # smallest legal value of each integer field; floats must be finite and >= 0

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import GrowthCase, ResolventPoint, _growth_quantities
-from .config import DEFAULT_CONFIG, RunConfig, _integer, _point, _real
+from .config import DEFAULT_CONFIG, RunConfig, _integer, _point, _real, _run_config
 from .errors import DomainError
 from .linalg import as_operator, as_vector, circle_directions, norms_from_sigma
 from .linalg import sigma_min_batch, spectral_distance
@@ -114,7 +114,7 @@ def sample_segment(
         DomainError: a0 >= spectral distance (the segment would leave
             the resolvent set).
     """
-    a = as_operator(a)
+    a, cfg = as_operator(a), _run_config(cfg)
     m, a0 = _integer("m", m, 8), _real("a0", a0, positive=True)
     theta = point.theta0 if direction is None else _real("direction", direction)
     if theta is None:
@@ -248,7 +248,7 @@ def local_min_probe(
         DomainError: the probe disk reaches the spectrum.
         NearSingularError: sigma_min(A - zI) <= cfg.tol_singular.
     """
-    op = as_operator(a)
+    op, cfg = as_operator(a), _run_config(cfg)
     z, r0 = _point("z", z), _real("r0", r0, positive=True)
     radial, angular = _integer("radial", radial, 4), _integer("angular", angular, 8)
     dist = spectral_distance(op.eigenvalues, z)
@@ -324,7 +324,7 @@ def taylor_remainder_check(
         NearSingularError: sigma_min(A - uI) <= cfg.tol_singular at u = z
             or at a step point u = z + w, which the domain check can miss.
     """
-    op = as_operator(a)
+    op, cfg = as_operator(a), _run_config(cfg)
     z, theta0 = _point("z", z), _real("theta0", theta0)
     psi = as_vector(psi, op.matrix.shape[0], "psi")
     steps = tuple(_real("steps", h, positive=True) for h in steps)

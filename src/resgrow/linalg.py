@@ -24,6 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import DEFAULT_CONFIG, RunConfig, _finite, _integer, _is_number, _point
+from .config import _run_config
 from .errors import DecompositionError, NearSingularError
 from .serialize import dumps, load_json, payload
 
@@ -241,14 +242,14 @@ class ShiftedSolver:
     no Operator, so it leaves ``as_operator``'s slot alone.
 
     Raises:
-        ValueError: z is not a finite complex number.
+        ValueError: z is not a finite complex number, or cfg not a RunConfig.
         NearSingularError: if sigma_min(A - zI) <= cfg.tol_singular.
     """
 
     def __init__(self, a, z: complex, cfg: RunConfig = DEFAULT_CONFIG):
         a = as_matrix(a)
         self.z = _point("z", z)
-        self.cfg = cfg
+        self.cfg = _run_config(cfg)
         self.matrix = a - self.z * np.eye(a.shape[0])
         self.decomposition = svd(self.matrix, cfg)
         self.sigma_min = float(self.decomposition.values[-1])

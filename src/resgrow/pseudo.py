@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import GrowthCase, analyze_point
-from .config import DEFAULT_CONFIG, RunConfig, _integer, _point, _real
+from .config import DEFAULT_CONFIG, RunConfig, _integer, _point, _real, _run_config
 from .errors import DomainError, NearSingularError, SearchError
 from .linalg import _complex_array, as_operator, circle_directions
 from .linalg import norms_from_sigma, sigma_min_batch
@@ -158,8 +158,10 @@ class PolyPath(Result):
 
     The first vertex is the query point, the last an eigenvalue (also
     kept in ``eigenvalue``).  ``delta`` is the norm slack
-    (f(x_1) - 1/epsilon)/2 fixed at construction.  Points are stored as
-    complex.  ValueError: no vertices, a point not finite, or epsilon not positive.
+    (f(x_1) - 1/epsilon)/2 fixed at construction, +inf at an exact
+    eigenvalue; any other real number is legal too.  Points are stored as
+    complex, epsilon and delta as floats.  ValueError: no vertices, a point
+    not finite, epsilon not positive, or delta NaN or not a real number.
     """
 
     vertices: tuple[complex, ...]
@@ -172,6 +174,7 @@ class PolyPath(Result):
         object.__setattr__(self, "vertices", tuple(vertices.tolist()))
         object.__setattr__(self, "eigenvalue", _point("eigenvalue", self.eigenvalue))
         object.__setattr__(self, "epsilon", _real("epsilon", self.epsilon, positive=True))
+        object.__setattr__(self, "delta", _real("delta", self.delta, finite=False))
 
     def to_dict(self, certificate: "PathCertificate | None" = None) -> dict:
         data = payload(self)
@@ -201,27 +204,27 @@ class PathCertificate(Result):
 def certify_path(a, path: PolyPath, cfg: RunConfig = DEFAULT_CONFIG) -> PathCertificate:
     """Prove the norm floor on every segment and validate the invariants.
 
-    Checks, in order: the resolvent norm along every segment stays
-    strictly above 1/epsilon with margin at least half of
-    f(x_1) - delta - 1/epsilon (met when f(x_1) is infinite); the vertex
-    norms over x_1..x_m strictly increase; the final hop is shorter than
-    epsilon/2; the last vertex is an eigenvalue under the residual test
-    sigma_min(A - lambda I) <= tol_eig * max(1, ||A||_2).
+    The floor is 1/epsilon plus the margin max(0, (f(x_1) - delta - 1/epsilon)/2),
+    0 when f(x_1) is infinite; s_req is its sigma.  It is proved over the
+    continuous segments, not only at samples.  sigma_min(A - zI) is 1-Lipschitz
+    in z, so on an interval [p, q] it is at most (sigma(p) + sigma(q) + |q - p|)/2.
+    Intervals whose bound, plus a rounding slack of n u (||A||_2 + max |z|), does
+    not reach s_req are proved; the others are bisected, all midpoints of one
+    level in one batch.  This loop alone decides the floor: ``min_f_on_path``,
+    the norm at the largest sigma sampled, is reported and compared with nothing.
 
-    The floor is proved over the continuous segments, not only at
-    samples.  sigma_min(A - zI) is 1-Lipschitz in z, so on an interval
-    [p, q] it is at most (sigma(p) + sigma(q) + |q - p|)/2.  Intervals
-    whose bound, plus a rounding slack of n u (||A||_2 + max |z|), does
-    not reach the sigma of the required floor are proved; the others are
-    bisected, all midpoints of one level in one batch.  Refinement stops
-    with a "min_f_margin" failure at a sampled point below the floor or
-    at an unproved interval no longer than the slack, and with a
-    "min_f_unproved" failure when the next level would bring the total
-    past _CERT_SAMPLES_PER_SEGMENT evaluations per segment.  a is a
-    matrix or an Operator, whose ``norm`` gives ||A||_2; the PolyPath
-    has checked its points and epsilon.
+    Each failure comes from one comparison, and at most one of the first two occurs:
+    - "min_f_margin": the loop met a sampled sigma above s_req, or an interval
+      still unproved that is no longer than the slack;
+    - "min_f_unproved": the loop's next level would bring the total past
+      _CERT_SAMPLES_PER_SEGMENT evaluations per segment;
+    - "vertex_norms_not_increasing": f(x_k+1) <= f(x_k) for some k < m;
+    - "endpoint_too_far": the final hop |x_m - lambda| is not shorter than epsilon/2;
+    - "endpoint_not_eigenvalue": sigma_min(A - lambda I) > tol_eig * max(1, ||A||_2).
+    a is a matrix or an Operator, whose ``norm`` gives ||A||_2; the PolyPath
+    has checked its points, epsilon and delta.
     """
-    op = as_operator(a)
+    op, cfg = as_operator(a), _run_config(cfg)
     verts = np.array(path.vertices)
     inv_eps = 1.0 / path.epsilon
 
@@ -229,7 +232,7 @@ def certify_path(a, path: PolyPath, cfg: RunConfig = DEFAULT_CONFIG) -> PathCert
     norms = norms_from_sigma(sigma)
     vertex_norms = tuple(float(v) for v in norms[:-1])
     endpoint_distance = float(abs(verts[-2] - verts[-1])) if vertex_norms else 0.0
-    f_start = vertex_norms[0] if vertex_norms else float(norms[0])
+    f_start = float(norms[0])
     # f(x_1) = inf at an exact eigenvalue, where find_path's delta is inf too: margin met
     required_margin = 0.5 * (f_start - path.delta - inv_eps) if f_start < np.inf else 0.0
     s_req = 1.0 / (inv_eps + max(required_margin, 0.0))
@@ -259,10 +262,9 @@ def certify_path(a, path: PolyPath, cfg: RunConfig = DEFAULT_CONFIG) -> PathCert
         max_sigma = max(max_sigma, sm.max())
         p, q = np.concatenate((p, mid)), np.concatenate((mid, q))
         sp, sq = np.concatenate((sp, sm)), np.concatenate((sm, sq))
-    min_f = float(norms_from_sigma(max_sigma))
 
     failures = []
-    if refuted or not (min_f > inv_eps and min_f - inv_eps >= required_margin):
+    if refuted:
         failures.append("min_f_margin")
     elif exhausted:
         failures.append("min_f_unproved")
@@ -275,7 +277,7 @@ def certify_path(a, path: PolyPath, cfg: RunConfig = DEFAULT_CONFIG) -> PathCert
 
     return PathCertificate(
         samples=samples,
-        min_f_on_path=min_f,
+        min_f_on_path=float(norms_from_sigma(max_sigma)),
         vertex_norms=vertex_norms,
         endpoint_distance=endpoint_distance,
         valid=not failures,
@@ -376,7 +378,7 @@ def find_path(
             "singular-vertex"), or cfg.max_steps vertices were placed
             (reason "iteration-limit"); the partial path rides along.
     """
-    op = as_operator(a)
+    op, cfg = as_operator(a), _run_config(cfg)
     epsilon, z = _real("epsilon", epsilon, positive=True), _point("z", z)
     eigs = op.eigenvalues
     inv_eps = 1.0 / epsilon

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .config import DEFAULT_CONFIG, RunConfig, _integer, _point
+from .config import DEFAULT_CONFIG, RunConfig, _integer, _point, _run_config
 from .errors import DecompositionError, NearSingularError
 from .linalg import _complex_array, as_matrix
 
@@ -64,7 +64,7 @@ def operator_from_inverse(m, cfg: RunConfig = DEFAULT_CONFIG) -> np.ndarray:
         NearSingularError: M is numerically singular.
         DecompositionError: the inverse fails its round-trip check.
     """
-    m = as_matrix(m)
+    m, cfg = as_matrix(m), _run_config(cfg)
     sigma = float(np.linalg.svd(m, compute_uv=False)[-1])
     if sigma <= cfg.tol_singular:
         raise NearSingularError(

@@ -172,6 +172,54 @@ def test_as_vector_validation():
             lambda a, point, grid: rg.classify_and_direction(0j, NAN, 1.0),
             "gamma must be a complex",
         ),
+        # a PolyPath's delta is a real number other than NaN; +-inf pass
+        (lambda a, point, grid: rg.PolyPath((Z, 0j), 0j, 1.0, math.nan), "delta must be a number"),
+        (lambda a, point, grid: rg.PolyPath((Z, 0j), 0j, 1.0, True), "delta must be a number"),
+        (lambda a, point, grid: rg.PolyPath((Z, 0j), 0j, 1.0, None), "delta must be a number"),
+        (lambda a, point, grid: rg.PolyPath((Z, 0j), 0j, 1.0, "0.5"), "delta must be a number"),
+        # cfg is a RunConfig, checked before anything is computed
+        (lambda a, point, grid: rg.resolvent_norm(a, Z, {}), "cfg must be a RunConfig"),
+        (
+            lambda a, point, grid: rg.classify_and_direction(0j, 0j, 1.0, {}),
+            "cfg must be a RunConfig",
+        ),
+        (lambda a, point, grid: rg.analyze_point(a, Z, {}), "cfg must be a RunConfig"),
+        (lambda a, point, grid: rg.ShiftedSolver(a, Z, {}), "cfg must be a RunConfig"),
+        (
+            lambda a, point, grid: rg.shifted_solve(a, Z, np.ones(8), {}),
+            "cfg must be a RunConfig",
+        ),
+        (
+            lambda a, point, grid: rg.sample_segment(a, point, 0.01, 16, 0.0, {}),
+            "cfg must be a RunConfig",
+        ),
+        (
+            lambda a, point, grid: rg.sample_segment_auto(a, point, 16, 0.0, {}),
+            "cfg must be a RunConfig",
+        ),
+        (
+            lambda a, point, grid: rg.local_min_probe(a, Z, 0.01, 4, 8, {}),
+            "cfg must be a RunConfig",
+        ),
+        (
+            lambda a, point, grid: rg.taylor_remainder_check(
+                a, Z, point.psi, 0.0, rg.default_taylor_steps(), {}
+            ),
+            "cfg must be a RunConfig",
+        ),
+        (lambda a, point, grid: rg.find_path(a, 0.5, Z, {}), "cfg must be a RunConfig"),
+        (
+            lambda a, point, grid: rg.certify_path(a, rg.PolyPath((Z, 0j), 0j, 1.0, 0.0), {}),
+            "cfg must be a RunConfig",
+        ),
+        (
+            lambda a, point, grid: rg.operator_from_inverse(np.eye(2), {}),
+            "cfg must be a RunConfig",
+        ),
+        (
+            lambda a, point, grid: rg.certify_path(a, rg.PolyPath((Z, 0j), 0j, 1.0, 0.0), None),
+            "cfg must be a RunConfig",
+        ),
     ],
     ids=[
         "analyze-z", "path-z", "path-epsilon", "localmin-r0", "grid-nx", "segment-a0",
@@ -185,6 +233,11 @@ def test_as_vector_validation():
         "path-epsilon-inf", "path-epsilon-bool", "analyze-z-huge-int", "path-epsilon-huge-int",
         "classify-norm-nan", "classify-norm-negative", "classify-alpha-bool", "classify-alpha-str",
         "classify-gamma-nan",
+        "polypath-delta-nan", "polypath-delta-bool", "polypath-delta-none", "polypath-delta-str",
+        "resolvent-norm-cfg-dict", "classify-cfg-dict", "analyze-cfg-dict", "solver-cfg-dict",
+        "shifted-solve-cfg-dict", "segment-cfg-dict", "segment-auto-cfg-dict",
+        "localmin-cfg-dict", "taylor-cfg-dict", "path-cfg-dict", "certify-cfg-dict",
+        "from-inverse-cfg-dict", "certify-cfg-none",
     ],
 )
 def test_non_number_scalars_raise_value_error(call, message):

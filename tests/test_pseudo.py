@@ -540,6 +540,15 @@ def test_certify_residual_endpoint():
         assert cert.failures == (() if ok else ("endpoint_not_eigenvalue",))
 
 
+def test_certify_refutes_an_exact_tie():
+    # sigma(1) = 1 is exactly the floor's sigma 1/(1/epsilon + 0): the loop
+    # itself refutes, by bisecting the pieces next to x_1 down to the slack
+    path = rg.PolyPath(vertices=(1.0, 0.25, 0.0), eigenvalue=0.0, epsilon=1.0, delta=1e12)
+    cert = rg.certify_path(np.diag([0.0 + 0j, 3.0 + 0j]), path)
+    assert cert.failures == ("min_f_margin",)
+    assert cert.samples == 52
+
+
 def test_certify_budget():
     # f >= 4.6e9 holds on [0.2, 0.25] for jordan_block(16, 0), but the
     # Lipschitz bound proves the floor's sigma 4.4e-10 only on intervals
@@ -697,6 +706,14 @@ def test_path_with_real_points_serializes_as_complex():
     data = path.to_dict()
     assert data["vertices"] == [[1.0, 0.0], [0.0, 0.0]]
     assert data["eigenvalue"] == [0.0, 0.0]
+
+
+@pytest.mark.parametrize("delta", [0, -1.0, np.inf, -np.inf, np.float64(0.5)])
+def test_path_takes_any_real_delta(delta):
+    """Any real delta but NaN is legal, +inf as find_path builds it at an exact
+    eigenvalue and negative ones that raise the floor; each is stored as a float."""
+    path = rg.PolyPath((1.0, 0.0), 0.0, 1.0, delta)
+    assert type(path.delta) is float and path.delta == delta
 
 
 def test_path_to_dict_key_order(diag03):

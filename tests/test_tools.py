@@ -80,6 +80,22 @@ def test_payload_hashes_cli_group_is_deterministic(tmp_path, monkeypatch):
     assert os.getcwd() == str(tmp_path) and not os.listdir(tmp_path)
 
 
+def test_payload_hashes_certify_group_is_deterministic():
+    """Two passes of the hash tool's certificate cases print identical lines;
+    the cases reach each floor verdict and a failed residual test, and the
+    delta cases bisect to different depths."""
+    tool = _load_tool("payload_hashes")
+    first = tool.certify_lines()
+    assert first == tool.certify_lines()
+    assert len(first) == len(tool.CERTIFY_CASES) == len({line.split()[0] for line in first})
+    certs = {name: rg.certify_path(a, path) for name, a, path in tool.CERTIFY_CASES}
+    assert [certs[k].samples for k in ("margin-0", "delta-0", "delta-negative")] == [3, 4, 5]
+    assert all(certs[k].valid for k in ("margin-0", "delta-0", "delta-negative", "delta-inf"))
+    assert certs["dip"].failures == certs["tie"].failures == ("min_f_margin",)
+    assert certs["budget"].failures == ("min_f_unproved",)
+    assert certs["residual-endpoint"].failures == ("endpoint_not_eigenvalue",)
+
+
 def test_payload_hashes_schur_runs_take_the_schur_routes(tmp_path, monkeypatch):
     """The hash tool's Schur-route runs stay there: random_dense(48, 3)
     takes inverse Lanczos, and the unitary shift with 48 unit weights the

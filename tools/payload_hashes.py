@@ -24,7 +24,13 @@ prints the same lines.  The groups are
   grid on the unitary shift with 48 unit weights.  The final runs,
   ``GUARD_RUNS``, reach the Lipschitz guard of
   ``ShiftedSolver.solve_nearby``: a Taylor check on ``jordan_block(16, 0)``
-  at z = 0.3 whose step point 0.16 is singular (exit 3).
+  at z = 0.3 whose step point 0.16 is singular (exit 3);
+- ``certify/<k>/<name>``: the dumped ``certify_path`` certificate of case k
+  of ``CERTIFY_CASES``, paths built by hand because ``find_path`` never
+  builds them: margin 0 (delta 1e12), delta 0, a negative delta, delta +inf
+  at an exact eigenvalue, a dip between samples that refutes the floor, the
+  Jordan segment that exhausts the sample budget, an endpoint that fails
+  the residual test and a vertex whose sigma ties the floor's exactly.
 
 BLAS runs on one thread.  The whole run takes a few seconds.
 """
@@ -35,6 +41,7 @@ import contextlib
 import hashlib
 import importlib.util
 import io
+import math
 import os
 import sys
 import tempfile
@@ -48,7 +55,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np  # noqa: E402
 
-from resgrow import ResgrowError, jordan_block  # noqa: E402
+from resgrow import PolyPath, ResgrowError, certify_path, jordan_block  # noqa: E402
 from resgrow.cli import main as cli_main  # noqa: E402
 from resgrow.serialize import dumps  # noqa: E402
 
@@ -114,6 +121,22 @@ GUARD_RUNS = (
 )
 CLI_RUNS += SCHUR_RUNS + GUARD_RUNS
 
+_DIAG03, _J16 = np.diag([0j, 3]), jordan_block(16, 0)
+# sigma = |z| on diag(0, 3) dips between the first two vertices, so the
+# floor, which delta sets, decides how often that segment is bisected
+_ARC = (-0.5 + 0.3j, 0.4 + 0.1j, 0)
+# (name, matrix, path)
+CERTIFY_CASES = (
+    ("margin-0", _DIAG03, PolyPath(_ARC, 0, 1.0, 1e12)),
+    ("delta-0", _DIAG03, PolyPath(_ARC, 0, 1.0, 0.0)),
+    ("delta-negative", _DIAG03, PolyPath(_ARC, 0, 1.0, -0.5)),
+    ("delta-inf", _DIAG03, PolyPath((0, 0), 0, 1.0, math.inf)),
+    ("dip", np.diag([0j, 1]), PolyPath((0.2, 0.9, 1.0), 1.0, 1.0, 1.996)),
+    ("budget", _J16, PolyPath((0.25, 0.2), 0.2, 1.0, 0.0)),
+    ("residual-endpoint", _J16, PolyPath((0.55, 0.5), 0.5, 1.0, 1e12)),
+    ("tie", _DIAG03, PolyPath((1.0, 0.25, 0), 0, 1.0, 1e12)),
+)
+
 
 def _sha(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
@@ -172,8 +195,16 @@ def cli_lines() -> list[str]:
     return lines
 
 
+def certify_lines() -> list[str]:
+    return [
+        f"{_sha(dumps(certify_path(a, path).to_dict()))}  certify/{k}/{name}"
+        for k, (name, a, path) in enumerate(CERTIFY_CASES)
+    ]
+
+
 def main() -> None:
-    print("\n".join(criteria_lines() + path_suite_lines(PATH_SUITE_SEEDS) + cli_lines()))
+    lines = criteria_lines() + path_suite_lines(PATH_SUITE_SEEDS) + cli_lines() + certify_lines()
+    print("\n".join(lines))
 
 
 if __name__ == "__main__":
