@@ -3,8 +3,8 @@
 A single frozen dataclass carries every tunable used by the library.
 Each function that reads one takes an optional ``cfg`` argument
 defaulting to ``DEFAULT_CONFIG`` and raises ValueError, before it computes
-anything, when ``cfg`` is not a RunConfig; the CLI builds one from an optional
-JSON file plus flag overrides.  No environment variables are consulted.
+anything, when ``cfg`` is not a RunConfig; the CLI reads one from the JSON
+file of ``--config``, if given.  No environment variables are consulted.
 """
 
 from __future__ import annotations

@@ -13,7 +13,7 @@ import numpy as np
 
 from .config import DEFAULT_CONFIG, RunConfig, _integer, _point, _run_config
 from .errors import DecompositionError, NearSingularError
-from .linalg import _complex_array, as_matrix
+from .linalg import _complex_array, _sigma_min_svd, as_matrix
 
 # the seeded generator behind random_dense, recorded in CLI metadata so
 # outputs can be reproduced elsewhere
@@ -62,10 +62,10 @@ def operator_from_inverse(m, cfg: RunConfig = DEFAULT_CONFIG) -> np.ndarray:
 
     Raises:
         NearSingularError: M is numerically singular.
-        DecompositionError: the inverse fails its round-trip check.
+        DecompositionError: the SVD of M or the inverse's round-trip check fails.
     """
     m, cfg = as_matrix(m), _run_config(cfg)
-    sigma = float(np.linalg.svd(m, compute_uv=False)[-1])
+    sigma = float(_sigma_min_svd(m[None], np.zeros(1, dtype=complex))[0])
     if sigma <= cfg.tol_singular:
         raise NearSingularError(
             f"matrix is numerically singular (sigma_min={sigma:.3e})", sigma

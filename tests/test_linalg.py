@@ -737,6 +737,24 @@ def test_sigma_min_batch_splits_the_points_lanczos_leaves():
     _assert_matches_svd(jordan.matrix, zs, two)
 
 
+@pytest.mark.parametrize("a", [rg.random_dense(64, 5), rg.jordan_block(64, 0.5)])
+def test_sigma_min_batch_routes_do_not_depend_on_call_history(a):
+    """A batch of 17 points (the batched SVD) and one of 96 (the Schur route)
+    give bitwise the values they give on a new Operator after the other batch
+    ran on it, with T factored beforehand or not: a cached T does not move a
+    small batch onto the Schur route, and a small batch leaves no state."""
+    rng = np.random.default_rng(3)
+    batches = [4.0 * (rng.standard_normal(p) + 1j * rng.standard_normal(p)) for p in (17, 96)]
+    fresh = [rg.sigma_min_batch(rg.Operator(a), zs).tobytes() for zs in batches]
+    for factored in (False, True):
+        for order in (0, 1), (1, 0):
+            op = rg.Operator(a)
+            if factored:
+                assert op.schur is not None
+            for k in order:
+                assert rg.sigma_min_batch(op, batches[k]).tobytes() == fresh[k]
+
+
 def test_matrix_dict_roundtrip():
     rng = np.random.default_rng(29)
     a = random_matrix(rng, 4)

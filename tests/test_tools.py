@@ -4,6 +4,7 @@ import io
 import os
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 from unittest import mock
 
@@ -56,13 +57,49 @@ def test_sigma_min_crossover_split_cell_runs():
     tool = _load_tool("sigma_min_crossover")
     a = rg.random_dense(8, 8)
     zs = np.linspace(-2.0, 2.0, 64) + 0.5j
-    times = tool.cell(a, zs, 1, tool.svd_on(1), tool.svd_on(2)).split("/")
+    times = tool.cell(a, zs, 1, tool.split_over(1), tool.split_over(2)).split("/")
     assert len(times) == 3 and all(float(t) > 0.0 for t in times)
     with mock.patch.object(linalg, "_sigma_min_svd", wraps=linalg._sigma_min_svd) as svd:
-        assert np.array_equal(tool.svd_on(2)(a, zs), tool.svd_on(1)(a, zs))
+        assert np.array_equal(tool.split_over(2)(a, zs), tool.split_over(1)(a, zs))
     assert svd.call_count == 3  # two slices, then one
     assert linalg._SPLIT_MIN_ROWS == 512
     assert tool.floor_batches(64, 2) == (14, 16) and tool.floor_batches(48, 2) == (20, 22)
+
+
+def test_sigma_min_crossover_times_sigma_min_batch_only():
+    """Every SVD and every triangular solve the crossover tables time runs
+    inside sigma_min_batch, on the caller's thread or in the closure it hands
+    the pool, so each table measures the routes the package ships."""
+    tool = _load_tool("sigma_min_crossover")
+    calls = []
+
+    def watched(real):
+        def call(*args, **kwargs):
+            frame = sys._getframe(1)
+            while frame and not frame.f_code.co_qualname.startswith("sigma_min_batch"):
+                frame = frame.f_back
+            calls.append((real.__name__, frame is not None))
+            return real(*args, **kwargs)
+
+        return call
+
+    structured = {
+        "jordan_block(64, 0.5)": partial(rg.jordan_block, 64, 0.5),
+        "zigzag_diagonal(16)": partial(rg.zigzag_diagonal, 16),
+    }
+    with (
+        mock.patch.multiple(tool, SIZES=(48,), BATCHES=(64,), SPLIT_SIZES=(8,), STRUCTURED=structured),
+        # the redo count runs inverse Lanczos untimed, outside sigma_min_batch
+        mock.patch.object(tool, "svd_redos", lambda t, zs: 0),
+        mock.patch.object(np.linalg, "svd", watched(np.linalg.svd)),
+        mock.patch.object(linalg, "_solve_upper", watched(linalg._solve_upper)),
+        contextlib.redirect_stdout(io.StringIO()) as out,
+    ):
+        tool.main(["--repeats", "1"])
+    assert {name for name, _ in calls} == {"svd", "_solve_upper"}
+    assert all(inside for _, inside in calls)
+    rows = ("   48 ", "jordan_block(64, 0.5) ", "zigzag_diagonal(16) ", "    8 ")
+    assert all(f"\n{row}" in out.getvalue() for row in rows)
 
 
 def test_payload_hashes_cli_group_is_deterministic(tmp_path, monkeypatch):

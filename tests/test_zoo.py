@@ -76,6 +76,17 @@ def test_operator_from_inverse_rejects_singular():
         rg.operator_from_inverse(np.zeros((2, 2)))
 
 
+def test_operator_from_inverse_names_the_point_of_a_failed_svd():
+    """A LAPACK failure in the singular check is the documented
+    DecompositionError, naming the point 0, not numpy's LinAlgError."""
+    fail = mock.Mock(side_effect=np.linalg.LinAlgError("SVD did not converge"))
+    with (
+        mock.patch.object(np.linalg, "svd", fail),
+        pytest.raises(rg.DecompositionError, match=r"at z=0j: SVD did not converge"),
+    ):
+        rg.operator_from_inverse(np.eye(2))
+
+
 def test_shift_spectrum_shares_modulus():
     # the N-cycle with weight product 2 has eigenvalues on one circle
     m = rg.circulant_weighted_shift_inverse([2, 1, 1, 1])
