@@ -45,8 +45,8 @@ class ResolventPoint(Result):
     ``theta0`` is the steepest-growth direction angle in (-pi, pi]
     (None for a local minimum): moving to z + t*exp(-1j*theta0) for
     small t > 0 increases the resolvent norm at the classified order.
-    ``degenerate`` flags a (nearly) non-unique maximizing vector; the
-    reported quantities are then one valid witness among many.
+    ``degenerate`` flags a (nearly) non-unique maximizing vector, by
+    ``ShiftedSolver.degenerate``'s tie rule; the quantities are one witness of many.
     """
 
     z: complex

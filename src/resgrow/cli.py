@@ -105,7 +105,7 @@ _GENERATORS = {
     ),
     "shift": (
         "circulant weighted shift (via inverse)",
-        [("--weights", _weights_arg, "w0,w1,...")],
+        [("--weights", _weights_arg, "w0,w1,... as Python complex literals, e.g. 2,1 or 1+2j")],
         lambda args, cfg: (
             operator_from_inverse(circulant_weighted_shift_inverse(args.weights), cfg),
             {"weights": args.weights},

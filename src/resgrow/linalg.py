@@ -260,22 +260,23 @@ class ShiftedSolver:
         """The resolvent norm 1 / sigma_min."""
         return 1.0 / self.sigma_min
 
+    def _tied(self, rel: float) -> np.ndarray:
+        """Indices k, ascending, of the singular values s_k of A - zI tied with
+        s_min = sigma_min: those with 1 - s_min/s_k < rel, a gap relative to the
+        resolvent's singular value 1/s_min.  s_min > tol_singular >= 0 keeps it defined."""
+        s = self.decomposition.values
+        return np.flatnonzero(1.0 - s[-1] / s < rel)
+
     def min_left_vector(self) -> np.ndarray:
         """Unit psi with ||R psi|| = ||R||: the left singular vector of A - zI
-        for sigma_min, phase-fixed by ``canonical_phase``.  Of a tied bottom
-        block (relative gap below ``_TIE_REL``) the first vector is taken,
-        so the identity yields e_0."""
-        s = self.decomposition.values
-        tied = np.flatnonzero(s <= s[-1] * (1.0 + _TIE_REL))
-        return canonical_phase(self.decomposition.left[:, int(tied[0])])
+        for sigma_min, phase-fixed by ``canonical_phase``.  Of the block
+        ``_tied(_TIE_REL)`` the first vector is taken, so the identity yields e_0."""
+        return canonical_phase(self.decomposition.left[:, self._tied(_TIE_REL)[0]])
 
     def degenerate(self) -> bool:
-        """True when the two largest singular values of the resolvent
-        are within ``cfg.degeneracy_gap`` relative of each other."""
-        s = self.decomposition.values
-        if s.shape[0] < 2:
-            return False
-        return bool(1.0 - s[-1] / s[-2] < self.cfg.degeneracy_gap)
+        """True when sigma_min is not alone in ``_tied(cfg.degeneracy_gap)``: the
+        two largest singular values of the resolvent are within that gap relative."""
+        return self._tied(self.cfg.degeneracy_gap).size > 1
 
     def solve(self, b) -> np.ndarray:
         """Solve (A - zI) x = b through the SVD factors, held to the

@@ -83,13 +83,15 @@ def grid_sigma_min(
     ny: int,
 ) -> PseudoGrid:
     """Evaluate sigma_min(A - zI) on an nx x ny cell-center grid; a may be an Operator.
-    ValueError unless nx, ny >= 2 are integers and re_min < re_max, im_min < im_max finite."""
+    ValueError unless integers nx, ny >= 2 and re_min < re_max, im_min < im_max span a finite box."""
     a = as_operator(a)
     nx, ny = _integer("nx", nx, 2), _integer("ny", ny, 2)
     re_min, re_max = _real("re_min", re_min), _real("re_max", re_max)
     im_min, im_max = _real("im_min", im_min), _real("im_max", im_max)
     if not (re_min < re_max and im_min < im_max):
         raise ValueError("grid bounds must satisfy re_min < re_max and im_min < im_max")
+    if not np.isfinite([re_max - re_min, im_max - im_min]).all():
+        raise ValueError("grid bounds must span a finite width and height")
     re = _cell_centers(re_min, re_max, nx)
     im = _cell_centers(im_min, im_max, ny)
     zs = (re[:, None] + 1j * im[None, :]).ravel()
@@ -156,12 +158,12 @@ def grid_metadata(grid: PseudoGrid, epsilon: float) -> dict:
 class PolyPath(Result):
     """Polygonal path x_1, ..., x_m, lambda inside a pseudospectrum.
 
-    The first vertex is the query point, the last an eigenvalue (also
-    kept in ``eigenvalue``).  ``delta`` is the norm slack
-    (f(x_1) - 1/epsilon)/2 fixed at construction, +inf at an exact
-    eigenvalue; any other real number is legal too.  Points are stored as
-    complex, epsilon and delta as floats.  ValueError: no vertices, a point
-    not finite, epsilon not positive, or delta NaN or not a real number.
+    The first vertex is the query point, the last an eigenvalue, which
+    ``eigenvalue`` claims; ``certify_path`` fails a path where the two differ.
+    ``delta`` is the norm slack (f(x_1) - 1/epsilon)/2 fixed at construction, +inf
+    at an exact eigenvalue; any other real number is legal too.  Points are stored
+    as complex, epsilon and delta as floats.  ValueError: no vertices, a point not
+    finite, epsilon not positive, or delta NaN or not a real number.
     """
 
     vertices: tuple[complex, ...]
@@ -213,14 +215,15 @@ def certify_path(a, path: PolyPath, cfg: RunConfig = DEFAULT_CONFIG) -> PathCert
     level in one batch.  This loop alone decides the floor: ``min_f_on_path``,
     the norm at the largest sigma sampled, is reported and compared with nothing.
 
-    Each failure comes from one comparison, and at most one of the first two occurs:
+    Each failure comes from one test, and at most one of the first two occurs:
     - "min_f_margin": the loop met a sampled sigma above s_req, or an interval
       still unproved that is no longer than the slack;
     - "min_f_unproved": the loop's next level would bring the total past
       _CERT_SAMPLES_PER_SEGMENT evaluations per segment;
     - "vertex_norms_not_increasing": f(x_k+1) <= f(x_k) for some k < m;
     - "endpoint_too_far": the final hop |x_m - lambda| is not shorter than epsilon/2;
-    - "endpoint_not_eigenvalue": sigma_min(A - lambda I) > tol_eig * max(1, ||A||_2).
+    - "endpoint_not_eigenvalue": the last vertex is not ``eigenvalue``, or
+      sigma_min(A - lambda I) > tol_eig * max(1, ||A||_2).
     a is a matrix or an Operator, whose ``norm`` gives ||A||_2; the PolyPath
     has checked its points, epsilon and delta.
     """
@@ -241,19 +244,19 @@ def certify_path(a, path: PolyPath, cfg: RunConfig = DEFAULT_CONFIG) -> PathCert
     samples = verts.shape[0]
     budget = samples + _CERT_SAMPLES_PER_SEGMENT * (samples - 1)
     max_sigma = sigma.max()
-    refuted = exhausted = False
+    failures = []
     p, q, sp, sq = verts[:-1], verts[1:], sigma[:-1], sigma[1:]
     while True:
         length = np.abs(q - p)
         open_ = 0.5 * (sp + sq + length) + slack > s_req
         if max_sigma > s_req or np.any(open_ & (length <= slack)):
-            refuted = True
+            failures.append("min_f_margin")
             break
         count = int(np.count_nonzero(open_))
         if count == 0:
             break
         if samples + count > budget:
-            exhausted = True
+            failures.append("min_f_unproved")
             break
         p, q, sp, sq = p[open_], q[open_], sp[open_], sq[open_]
         mid = 0.5 * (p + q)
@@ -263,16 +266,11 @@ def certify_path(a, path: PolyPath, cfg: RunConfig = DEFAULT_CONFIG) -> PathCert
         p, q = np.concatenate((p, mid)), np.concatenate((mid, q))
         sp, sq = np.concatenate((sp, sm)), np.concatenate((sm, sq))
 
-    failures = []
-    if refuted:
-        failures.append("min_f_margin")
-    elif exhausted:
-        failures.append("min_f_unproved")
     if any(b <= a_ for a_, b in zip(vertex_norms, vertex_norms[1:])):
         failures.append("vertex_norms_not_increasing")
     if not endpoint_distance < 0.5 * path.epsilon:
         failures.append("endpoint_too_far")
-    if sigma[-1] > cfg.tol_eig * max(1.0, op.norm):
+    if path.eigenvalue != verts[-1] or sigma[-1] > cfg.tol_eig * max(1.0, op.norm):
         failures.append("endpoint_not_eigenvalue")
 
     return PathCertificate(

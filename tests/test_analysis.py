@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import resgrow as rg
 from resgrow.analysis import _angle, _growth_quantities, classify_and_direction
@@ -136,6 +138,34 @@ def test_degenerate_flag(zigzag2):
     p = rg.analyze_point(zigzag2, 1.5 + 0j)
     assert p.degenerate
     assert rg.analyze_point(zigzag2, 1.1 + 0j).degenerate is False
+
+
+def _grcar(n):
+    """-1 on the subdiagonal, 1 on the diagonal and three superdiagonals."""
+    return np.eye(n, k=-1) * -1.0 + sum(np.eye(n, k=k) for k in range(4)) + 0j
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    family=st.sampled_from(["random_dense", "grcar", "jordan"]),
+    n=st.integers(2, 12),
+    seed=st.integers(0, 2**16),
+    lam=st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False),
+    c=st.floats(1.01, 1e4),
+    phi=st.floats(0.0, 2.0 * np.pi),
+)
+def test_outside_numerical_range_is_linear(family, n, seed, lam, c, phi):
+    """With M v = s u for sigma_min s of M = A - zI, u^H v = conj(v^H A v - z)/s, which
+    vanishes only for z in the numerical range W(A).  |z| > ||A||_2 puts z outside W(A),
+    so every such point is LINEAR and sigma_min falls along exp(-1j theta0)."""
+    a = {"random_dense": lambda: rg.random_dense(n, seed), "grcar": lambda: _grcar(n),
+         "jordan": lambda: rg.jordan_block(n, lam)}[family]()
+    z = c * np.linalg.norm(a, 2) * np.exp(1j * phi)
+    p = rg.analyze_point(a, z)
+    assert p.case is rg.GrowthCase.LINEAR
+    t = 1e-3 * p.sigma_min
+    before, after = rg.sigma_min_batch(a, [z, z + t * np.exp(-1j * p.theta0)])
+    assert after < before
 
 
 def test_analysis_near_singular_raises(diag03):

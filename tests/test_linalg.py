@@ -220,6 +220,15 @@ def test_as_vector_validation():
             lambda a, point, grid: rg.certify_path(a, rg.PolyPath((Z, 0j), 0j, 1.0, 0.0), None),
             "cfg must be a RunConfig",
         ),
+        # a box whose width overflows a float is named as such, not by its cell centers
+        (
+            lambda a, point, grid: rg.grid_sigma_min(a, -1e308, 1e308, 0, 1, 2, 2),
+            "grid bounds must span a finite width and height",
+        ),
+        (
+            lambda a, point, grid: rg.grid_sigma_min(a, 1, 0, 0, 1, 2, 2),
+            "grid bounds must satisfy re_min < re_max and im_min < im_max",
+        ),
     ],
     ids=[
         "analyze-z", "path-z", "path-epsilon", "localmin-r0", "grid-nx", "segment-a0",
@@ -237,7 +246,7 @@ def test_as_vector_validation():
         "resolvent-norm-cfg-dict", "classify-cfg-dict", "analyze-cfg-dict", "solver-cfg-dict",
         "shifted-solve-cfg-dict", "segment-cfg-dict", "segment-auto-cfg-dict",
         "localmin-cfg-dict", "taylor-cfg-dict", "path-cfg-dict", "certify-cfg-dict",
-        "from-inverse-cfg-dict", "certify-cfg-none",
+        "from-inverse-cfg-dict", "certify-cfg-none", "grid-width-overflow", "grid-bounds-reversed",
     ],
 )
 def test_non_number_scalars_raise_value_error(call, message):
@@ -527,6 +536,23 @@ def test_solver_degenerate_flag(diag03, zigzag2):
     # 1.5 is equidistant from both zigzag eigenvalues
     assert rg.ShiftedSolver(zigzag2, 1.5 + 0j).degenerate()
     assert not rg.ShiftedSolver(np.eye(1) * 2.0, 0.5 + 0j).degenerate()
+
+
+@pytest.mark.parametrize(
+    "values",
+    [[2.0]] + [[1.0 + gap, 3.0, 1.0, 1.0 + 2 * gap] for gap in (0.0, 1e-14, 1e-9, 1e-7, 1e-5)],
+    ids=["n1", "exact", "gap-1e-14", "gap-1e-9", "gap-1e-7", "gap-1e-5"],
+)
+def test_tie_rule_keeps_both_answers(values):
+    """One tie rule answers as the two formulas it replaced: ``degenerate`` as
+    1 - s_n/s_(n-1) < degeneracy_gap (False for n = 1), ``min_left_vector`` as
+    the left vector of the first s_k <= s_n (1 + _TIE_REL)."""
+    solver = rg.ShiftedSolver(np.diag(values), 0)
+    u, s, _ = solver.decomposition
+    ratio_test = s.shape[0] > 1 and 1.0 - s[-1] / s[-2] < solver.cfg.degeneracy_gap
+    first = np.flatnonzero(s <= s[-1] * (1.0 + linalg._TIE_REL))[0]
+    assert solver.degenerate() == ratio_test
+    assert np.array_equal(solver.min_left_vector(), canonical_phase(u[:, first]))
 
 
 def test_eigenvalues_sorted_and_accurate():

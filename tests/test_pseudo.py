@@ -506,6 +506,12 @@ def test_certify_rejects_bad_paths(diag03):
     cert = rg.certify_path(diag03, far)
     assert set(cert.failures) >= {"min_f_margin", "endpoint_too_far", "endpoint_not_eigenvalue"}
 
+    # a valid path to 0 that claims the other eigenvalue, 3
+    wrong = rg.PolyPath((0.5 + 0j, 0j), 3 + 0j, 1.25, 0.0)
+    cert = rg.certify_path(diag03, wrong)
+    assert cert.failures == ("endpoint_not_eigenvalue",)
+    assert rg.certify_path(diag03, dataclasses.replace(wrong, eigenvalue=0j)).valid
+
 
 def test_certify_single_vertex(diag03):
     trivial = rg.PolyPath(
