@@ -64,6 +64,7 @@ from .zoo import (
     RANDOM_DENSE_RNG_ID,
     circulant_weighted_shift_inverse,
     diagonal_normal,
+    grcar,
     jordan_block,
     operator_from_inverse,
     random_dense,
@@ -104,6 +105,7 @@ __all__ = [
     "diagonal_normal",
     "eigenvalues",
     "find_path",
+    "grcar",
     "grid_metadata",
     "grid_sigma_min",
     "jordan_block",

@@ -29,11 +29,11 @@ _ESCAPE_DIRECTIONS = 16
 # relative progress a step must make over the current vertex norm
 _PROGRESS_REL = 1e-9
 
-# sigma_min evaluations the path certificate may spend per segment.
-# Where sigma_min stays far below the floor's sigma s_req along a long
-# segment (strongly non-normal A, small epsilon), the Lipschitz bound
-# needs about length / (2 s_req) of them; past this budget the floor is
-# reported unproved instead.
+# sigma_min evaluations the path certificate may spend per segment, pooled: m
+# vertices may spend m + (m - 1) times this in all, one hard segment all of it.
+# Where sigma_min stays far below the floor's sigma s_req along a long segment
+# (strongly non-normal A, small epsilon), the Lipschitz bound needs about
+# length / (2 s_req) of them; past the budget the floor is reported unproved.
 _CERT_SAMPLES_PER_SEGMENT = 4096
 
 
@@ -218,8 +218,8 @@ def certify_path(a, path: PolyPath, cfg: RunConfig = DEFAULT_CONFIG) -> PathCert
     Each failure comes from one test, and at most one of the first two occurs:
     - "min_f_margin": the loop met a sampled sigma above s_req, or an interval
       still unproved that is no longer than the slack;
-    - "min_f_unproved": the loop's next level would bring the total past
-      _CERT_SAMPLES_PER_SEGMENT evaluations per segment;
+    - "min_f_unproved": the next level would pass m + (m - 1) _CERT_SAMPLES_PER_SEGMENT
+      evaluations for m vertices, a budget one hard segment can spend alone;
     - "vertex_norms_not_increasing": f(x_k+1) <= f(x_k) for some k < m;
     - "endpoint_too_far": the final hop |x_m - lambda| is not shorter than epsilon/2;
     - "endpoint_not_eigenvalue": the last vertex is not ``eigenvalue``, or

@@ -1,10 +1,10 @@
 """Matrix specimen constructors.
 
-Small families with known resolvent behavior, used by the tests and
-exposed through the CLI: normal diagonals, a zigzag diagonal whose
-pseudospectra form a chain of overlapping disks, circulant weighted
-shifts defined through their inverse, Jordan blocks, and seeded dense
-random matrices.
+Small families with known resolvent behavior, used by the tests: normal
+diagonals, a zigzag diagonal whose pseudospectra form a chain of
+overlapping disks, circulant weighted shifts defined through their
+inverse, Jordan blocks, Grcar matrices and seeded dense random
+matrices.  The CLI's ``examples`` command exposes all but Grcar.
 """
 
 from __future__ import annotations
@@ -85,6 +85,13 @@ def jordan_block(n: int, lam: complex) -> np.ndarray:
     if n > 1:
         m += np.diag(np.ones(n - 1, dtype=complex), k=1)
     return m
+
+
+def grcar(n: int) -> np.ndarray:
+    """The n x n Grcar matrix: -1 on the subdiagonal, 1 on the diagonal and
+    the three superdiagonals (ValueError unless n >= 1 is an integer)."""
+    n = _integer("n", n, 1)
+    return sum(np.eye(n, k=k) for k in range(4)) - np.eye(n, k=-1) + 0j
 
 
 def random_dense(n: int, seed: int) -> np.ndarray:

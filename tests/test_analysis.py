@@ -140,11 +140,6 @@ def test_degenerate_flag(zigzag2):
     assert rg.analyze_point(zigzag2, 1.1 + 0j).degenerate is False
 
 
-def _grcar(n):
-    """-1 on the subdiagonal, 1 on the diagonal and three superdiagonals."""
-    return np.eye(n, k=-1) * -1.0 + sum(np.eye(n, k=k) for k in range(4)) + 0j
-
-
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(
     family=st.sampled_from(["random_dense", "grcar", "jordan"]),
@@ -158,7 +153,7 @@ def test_outside_numerical_range_is_linear(family, n, seed, lam, c, phi):
     """With M v = s u for sigma_min s of M = A - zI, u^H v = conj(v^H A v - z)/s, which
     vanishes only for z in the numerical range W(A).  |z| > ||A||_2 puts z outside W(A),
     so every such point is LINEAR and sigma_min falls along exp(-1j theta0)."""
-    a = {"random_dense": lambda: rg.random_dense(n, seed), "grcar": lambda: _grcar(n),
+    a = {"random_dense": lambda: rg.random_dense(n, seed), "grcar": lambda: rg.grcar(n),
          "jordan": lambda: rg.jordan_block(n, lam)}[family]()
     z = c * np.linalg.norm(a, 2) * np.exp(1j * phi)
     p = rg.analyze_point(a, z)

@@ -92,6 +92,8 @@ def test_as_vector_validation():
         (lambda a, point, grid: rg.zigzag_diagonal(None), "n must be an integer >= 2"),
         (lambda a, point, grid: rg.jordan_block(None, 0), "n must be an integer >= 1"),
         (lambda a, point, grid: rg.jordan_block(2.5, 0), "n must be an integer >= 1"),
+        (lambda a, point, grid: rg.grcar(1.5), "n must be an integer >= 1"),
+        (lambda a, point, grid: rg.grcar(True), "n must be an integer >= 1"),
         (lambda a, point, grid: rg.random_dense(None, 1), "n must be an integer >= 1"),
         (lambda a, point, grid: rg.random_dense(2.5, 1), "n must be an integer >= 1"),
         (lambda a, point, grid: rg.random_dense(3, "x"), "seed must be an integer >= 0"),
@@ -235,8 +237,9 @@ def test_as_vector_validation():
         "components-epsilon", "taylor-theta0",
         "grid-nx-fraction", "grid-nx-inf", "localmin-radial", "localmin-angular", "segment-m",
         "segment-auto-m", "taylor-levels", "zigzag-n-fraction", "zigzag-n-none",
-        "jordan-n-none", "jordan-n-fraction", "random-n-none", "random-n-fraction",
-        "random-seed", "analyze-z-inf", "path-z-nan", "localmin-z-nan", "taylor-z-inf",
+        "jordan-n-none", "jordan-n-fraction", "grcar-n-fraction", "grcar-n-bool",
+        "random-n-none", "random-n-fraction", "random-seed", "analyze-z-inf", "path-z-nan",
+        "localmin-z-nan", "taylor-z-inf",
         "segment-direction-nan", "segment-direction-nan-long", "segment-no-direction-long",
         "grid-bound-inf", "jordan-lam-inf", "diagonal-inf",
         "path-epsilon-inf", "path-epsilon-bool", "analyze-z-huge-int", "path-epsilon-huge-int",
@@ -615,16 +618,11 @@ def _svd_sigma_min(a, zs):
     return np.linalg.svd(stack, compute_uv=False)[:, -1]
 
 
-def _grcar(n):
-    """-1 on the subdiagonal, 1 on the diagonal and three superdiagonals."""
-    return np.eye(n, k=-1) * -1.0 + sum(np.eye(n, k=k) for k in range(4)) + 0j
-
-
 _SCHUR_FAMILIES = {
     "random_dense": lambda n: rg.random_dense(n, n),
     "jordan": lambda n: rg.jordan_block(n, 0.3 - 0.2j),
     "triangular": lambda n: np.triu(rg.random_dense(n, n)),
-    "grcar": _grcar,
+    "grcar": rg.grcar,
     "shift": lambda n: rg.operator_from_inverse(
         rg.circulant_weighted_shift_inverse([2.0] + [1.0] * (n - 1))
     ),
@@ -721,6 +719,30 @@ def test_sigma_min_batch_dispatch():
     vals, sizes = _svd_batches(jordan, zs)
     assert sizes == [3]
     _assert_matches_svd(jordan, zs, vals)
+
+
+def test_schur_failure_sends_every_point_to_the_svd():
+    """When zgees reports info != 0 the Operator has no Schur form, and
+    sigma_min_batch answers every point by the batched SVD, bitwise."""
+    from scipy.linalg import lapack
+
+    real_zgees = lapack.zgees
+
+    def failing_zgees(*args, **kwargs):
+        out = real_zgees(*args, **kwargs)
+        return out if kwargs.get("lwork") == -1 else (*out[:-1], 1)
+
+    a = rg.random_dense(48, 3)
+    rng = np.random.default_rng(5)
+    zs = 8.0 * (rng.uniform(-1.0, 1.0, 64) + 1j * rng.uniform(-1.0, 1.0, 64))
+    with (
+        mock.patch("scipy.linalg.lapack.zgees", failing_zgees),
+        mock.patch.object(linalg, "_inverse_lanczos", side_effect=AssertionError),
+    ):
+        op = rg.Operator(a)
+        assert op.schur is None
+        vals = rg.sigma_min_batch(op, zs)
+    assert vals.tobytes() == _svd_sigma_min(a, zs).tobytes()
 
 
 def _jordan_dispatch_points():

@@ -262,6 +262,18 @@ def test_find_path_past_saddle(weights, vertices):
     assert len(path.vertices) == vertices
 
 
+@pytest.mark.parametrize("n", [8, 16, 24, 32])
+def test_find_path_on_grcar(n):
+    """Searches on the non-normal Grcar matrix end at a computed eigenvalue
+    with a valid certificate."""
+    a = rg.Operator(rg.grcar(n))
+    for z in (0.9 + 1.2j, 0.5 - 1j, 1.5 + 0.3j, 2.5 + 1.5j, -0.3 + 0.5j):
+        path, cert = rg.find_path(a, 1.3 * rg.sigma_min_batch(a, [z])[0], z)
+        assert cert.valid, (z, cert.failures)
+        assert path.vertices[-1] == path.eigenvalue
+        assert path.eigenvalue in set(a.eigenvalues)
+
+
 def _saddle_query():
     a = rg.operator_from_inverse(rg.circulant_weighted_shift_inverse([2, 1]))
     return a, 0.05j, 1.2 / rg.resolvent_norm(a, 0.05j)
@@ -369,18 +381,13 @@ def test_line_search_matches_ladder(n, seed, turn, cap_frac, floor_frac, max_hal
     assert found == _reference_line_search(op, point.z, direction, fx, cap, floor, cfg)
 
 
-def _grcar(n):
-    """-1 on the subdiagonal, 1 on the diagonal and three superdiagonals."""
-    return np.eye(n, k=-1) * -1.0 + sum(np.eye(n, k=k) for k in range(4)) + 0j
-
-
 _FLOOR_FAMILIES = {
     "random_dense": lambda n, rng: rg.random_dense(n, int(rng.integers(2**20))),
     "jordan": lambda n, rng: rg.jordan_block(n, complex(*rng.uniform(-1.0, 1.0, 2))),
     "shift": lambda n, rng: rg.operator_from_inverse(
         rg.circulant_weighted_shift_inverse(rng.uniform(1.0, 3.0, n))
     ),
-    "grcar": lambda n, rng: _grcar(n),
+    "grcar": lambda n, rng: rg.grcar(n),
 }
 
 

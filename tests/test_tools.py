@@ -185,6 +185,14 @@ def test_bench_tracer_targets_resolve():
         assert callable(getattr(importlib.import_module(module), attr, None)), (module, attr)
 
 
+def test_grcar_matches_the_benchmark_builder():
+    """The library's Grcar matrix is bitwise the benchmark's, so the
+    benchmark can build its inputs from resgrow.grcar without changing one."""
+    workloads = _load_tool("workloads", ROOT / "bench")
+    for n in range(3, 131):  # the benchmark's builder needs n >= 3
+        assert rg.grcar(n).tobytes() == workloads.grcar(n).tobytes(), n
+
+
 def test_failing_property_test_does_not_stop_the_session(tmp_path):
     """A failing hypothesis test is reported like any other failure: the
     suite's warning filters must not turn what hypothesis imports to

@@ -104,6 +104,18 @@ def test_jordan_block():
         rg.jordan_block(0, 0.0)
 
 
+def test_grcar():
+    for n in (1, 2, 5):
+        g = rg.grcar(n)
+        assert g.shape == (n, n) and g.dtype == complex
+        assert np.all(np.diag(g, k=-1) == -1.0)
+        for k in range(4):
+            assert np.all(np.diag(g, k=k) == 1.0)
+        assert np.count_nonzero(np.triu(np.tril(g, 3), -1) - g) == 0
+    with pytest.raises(ValueError):
+        rg.grcar(0)
+
+
 def test_random_dense_reproducible():
     a = rg.random_dense(6, 123)
     b = rg.random_dense(6, 123)

@@ -66,6 +66,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from resgrow import (  # noqa: E402
     Operator,
     circulant_weighted_shift_inverse,
+    grcar,
     jordan_block,
     operator_from_inverse,
     random_dense,
@@ -78,11 +79,6 @@ from resgrow.linalg import _inverse_lanczos  # noqa: E402
 SIZES = (16, 32, 48, 64, 96, 128)
 BATCHES = (1, 17, 33, 64, 96, 258)
 SPLIT_SIZES = (2, 4, 8, 16, 32, 48, 64, 96)
-
-
-def grcar(n: int) -> np.ndarray:
-    """-1 on the subdiagonal, 1 on the diagonal and three superdiagonals."""
-    return sum(np.eye(n, k=k) for k in range(4)) - np.eye(n, k=-1) + 0j
 
 
 STRUCTURED = {
