@@ -68,6 +68,7 @@ from .zoo import (
     jordan_block,
     operator_from_inverse,
     random_dense,
+    weighted_shift,
     zigzag_diagonal,
 )
 
@@ -125,5 +126,6 @@ __all__ = [
     "spectral_distance",
     "taylor_remainder_check",
     "verify_growth_bound",
+    "weighted_shift",
     "zigzag_diagonal",
 ]

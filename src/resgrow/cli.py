@@ -43,11 +43,10 @@ from .pseudo import find_path, grid_metadata, grid_sigma_min
 from .serialize import dumps, payload
 from .zoo import (
     RANDOM_DENSE_RNG_ID,
-    circulant_weighted_shift_inverse,
     diagonal_normal,
     jordan_block,
-    operator_from_inverse,
     random_dense,
+    weighted_shift,
     zigzag_diagonal,
 )
 
@@ -106,10 +105,7 @@ _GENERATORS = {
     "shift": (
         "circulant weighted shift (via inverse)",
         [("--weights", _weights_arg, "w0,w1,... as Python complex literals, e.g. 2,1 or 1+2j")],
-        lambda args, cfg: (
-            operator_from_inverse(circulant_weighted_shift_inverse(args.weights), cfg),
-            {"weights": args.weights},
-        ),
+        lambda args, cfg: (weighted_shift(args.weights, cfg), {"weights": args.weights}),
     ),
     "jordan": (
         "Jordan block",

@@ -495,8 +495,8 @@ def _sigma_min_svd(stack: np.ndarray, zs: np.ndarray) -> np.ndarray:
 
 
 def norms_from_sigma(s) -> np.ndarray:
-    """Resolvent norms 1/sigma_min; exact hits (sigma 0) give inf."""
-    with np.errstate(divide="ignore"):
+    """Resolvent norms 1/sigma_min; sigma below 1/max-float (0 included) gives inf."""
+    with np.errstate(divide="ignore", over="ignore"):
         return np.where(s > 0.0, 1.0 / s, np.inf)
 
 

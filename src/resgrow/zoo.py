@@ -2,8 +2,8 @@
 
 Small families with known resolvent behavior, used by the tests: normal
 diagonals, a zigzag diagonal whose pseudospectra form a chain of
-overlapping disks, circulant weighted shifts defined through their
-inverse, Jordan blocks, Grcar matrices and seeded dense random
+overlapping disks, weighted shifts (``weighted_shift``, built from their
+inverse), Jordan blocks, Grcar matrices and seeded dense random
 matrices.  The CLI's ``examples`` command exposes all but Grcar.
 """
 
@@ -12,8 +12,8 @@ from __future__ import annotations
 import numpy as np
 
 from .config import DEFAULT_CONFIG, RunConfig, _integer, _point, _run_config
-from .errors import DecompositionError, NearSingularError
-from .linalg import _complex_array, _sigma_min_svd, as_matrix
+from .errors import DecompositionError
+from .linalg import _check_singular, _complex_array, _sigma_min_svd, as_matrix
 
 # the seeded generator behind random_dense, recorded in CLI metadata so
 # outputs can be reproduced elsewhere
@@ -61,20 +61,22 @@ def operator_from_inverse(m, cfg: RunConfig = DEFAULT_CONFIG) -> np.ndarray:
     a specimen, not resolvent evaluation.
 
     Raises:
-        NearSingularError: M is numerically singular.
+        NearSingularError: M is singular: 0 lies within ``tol_singular`` of its spectrum.
         DecompositionError: the SVD of M or the inverse's round-trip check fails.
     """
     m, cfg = as_matrix(m), _run_config(cfg)
-    sigma = float(_sigma_min_svd(m[None], np.zeros(1, dtype=complex))[0])
-    if sigma <= cfg.tol_singular:
-        raise NearSingularError(
-            f"matrix is numerically singular (sigma_min={sigma:.3e})", sigma
-        )
+    _check_singular(0j, float(_sigma_min_svd(m[None], np.zeros(1, dtype=complex))[0]), cfg)
     a = np.linalg.inv(m)
     err = float(np.linalg.norm(a @ m - np.eye(m.shape[0])))
     if err > 1e-9 * max(1.0, float(np.linalg.norm(m)) * float(np.linalg.norm(a))):
         raise DecompositionError(f"inverse round-trip error {err:.3e} is too large")
     return a
+
+
+def weighted_shift(weights, cfg: RunConfig = DEFAULT_CONFIG) -> np.ndarray:
+    """The weighted cyclic shift A = M^-1, M = ``circulant_weighted_shift_inverse(weights)``,
+    whose resolvent at 0 is M; it raises what those two functions raise."""
+    return operator_from_inverse(circulant_weighted_shift_inverse(weights), cfg)
 
 
 def jordan_block(n: int, lam: complex) -> np.ndarray:

@@ -20,12 +20,12 @@ def diag03():
 @pytest.fixture(scope="session")
 def shift2():
     """Weighted cyclic shift with weights (2, 1), built through its inverse."""
-    return rg.operator_from_inverse(rg.circulant_weighted_shift_inverse([2, 1]))
+    return rg.weighted_shift([2, 1])
 
 
 @pytest.fixture(scope="session")
 def shift4():
-    return rg.operator_from_inverse(rg.circulant_weighted_shift_inverse([2, 1, 1, 1]))
+    return rg.weighted_shift([2, 1, 1, 1])
 
 
 @pytest.fixture(scope="session")

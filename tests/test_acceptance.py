@@ -22,10 +22,6 @@ def _diag03():
     return np.diag([0.0 + 0j, 3.0 + 0j])
 
 
-def _shift(weights):
-    return rg.operator_from_inverse(rg.circulant_weighted_shift_inverse(weights))
-
-
 def criterion_1():
     """Normal matrices: resolvent norm equals 1/dist to the spectrum."""
     rng = np.random.default_rng(1001)
@@ -71,7 +67,7 @@ def criterion_2():
 
 def criterion_3():
     """Second-order specimen: cyclic shift with weights (2, 1) at 0."""
-    a = _shift([2, 1])
+    a = rg.weighted_shift([2, 1])
     p = rg.analyze_point(a, 0j)
     report = rg.sample_segment(a, p, 0.05, 16)
     checks = {
@@ -95,7 +91,7 @@ def criterion_3():
 
 def criterion_4():
     """Flat specimen: weights (2,1,1,1) give a local minimum at 0."""
-    a = _shift([2, 1, 1, 1])
+    a = rg.weighted_shift([2, 1, 1, 1])
     p = rg.analyze_point(a, 0j)
     probe = rg.local_min_probe(a, 0j, 0.05, radial=6, angular=16)
     ok = (
@@ -124,8 +120,8 @@ def criterion_5():
     """
     cases = [
         ("diag03", _diag03(), 1.0 + 0j),
-        ("shift2", _shift([2, 1]), 0.15 + 0.1j),
-        ("shift4", _shift([2, 1, 1, 1]), 0.2 + 0.1j),
+        ("shift2", rg.weighted_shift([2, 1]), 0.15 + 0.1j),
+        ("shift4", rg.weighted_shift([2, 1, 1, 1]), 0.2 + 0.1j),
     ]
     results = []
     ok = True
@@ -232,8 +228,8 @@ def criterion_8():
     bound_checks = []
     suite = [
         ("diag03", _diag03()),
-        ("shift2", _shift([2, 1])),
-        ("shift4", _shift([2, 1, 1, 1])),
+        ("shift2", rg.weighted_shift([2, 1])),
+        ("shift4", rg.weighted_shift([2, 1, 1, 1])),
         ("zigzag4", z4),
         ("jordan4", rg.jordan_block(4, 0.5 + 0j)),
         ("random5", rg.random_dense(5, 42)),

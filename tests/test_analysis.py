@@ -70,9 +70,7 @@ def test_shift4_point_is_local_min(shift4):
 def test_longer_cycles_stay_local_min():
     # beta = |w0 * w1|^2 = 4 for every cycle length of four or more
     for n in (5, 6):
-        a = rg.operator_from_inverse(
-            rg.circulant_weighted_shift_inverse([2] + [1] * (n - 1))
-        )
+        a = rg.weighted_shift([2] + [1] * (n - 1))
         p = rg.analyze_point(a, 0j)
         assert p.case is rg.GrowthCase.LOCAL_MIN
         assert p.beta == pytest.approx(4.0, rel=1e-12)

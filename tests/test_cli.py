@@ -20,7 +20,7 @@ def diag_file(tmp_path):
 @pytest.fixture()
 def shift4_file(tmp_path):
     path = tmp_path / "shift4.json"
-    a = rg.operator_from_inverse(rg.circulant_weighted_shift_inverse([2, 1, 1, 1]))
+    a = rg.weighted_shift([2, 1, 1, 1])
     rg.save_matrix(str(path), a)
     return str(path)
 
@@ -338,6 +338,13 @@ def test_examples_shift_saves_the_operator(capsys, tmp_path):
     run(capsys, "examples", "shift", "--weights", "2,1", "-o", str(target))
     a = rg.load_matrix(str(target))
     assert rg.resolvent_norm(a, 0j) == pytest.approx(2.0, rel=1e-12)
+
+
+def test_examples_shift_is_weighted_shift(capsys, tmp_path):
+    target = tmp_path / "s4.json"
+    assert run(capsys, "examples", "shift", "--weights", "2,1,1,1", "-o", str(target))[0] == 0
+    expected = rg.weighted_shift([2, 1, 1, 1])
+    assert rg.load_matrix(str(target)).tobytes() == expected.tobytes()
 
 
 def test_examples_random_metadata(capsys, tmp_path):

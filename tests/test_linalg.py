@@ -4,6 +4,7 @@ import multiprocessing
 import os
 import sys
 import threading
+import warnings
 from decimal import Decimal
 from unittest import mock
 
@@ -19,6 +20,7 @@ from resgrow.linalg import (
     as_matrix,
     as_vector,
     canonical_phase,
+    norms_from_sigma,
     svd,
 )
 
@@ -218,6 +220,7 @@ def test_as_vector_validation():
             lambda a, point, grid: rg.operator_from_inverse(np.eye(2), {}),
             "cfg must be a RunConfig",
         ),
+        (lambda a, point, grid: rg.weighted_shift([2, 1], {}), "cfg must be a RunConfig"),
         (
             lambda a, point, grid: rg.certify_path(a, rg.PolyPath((Z, 0j), 0j, 1.0, 0.0), None),
             "cfg must be a RunConfig",
@@ -249,7 +252,8 @@ def test_as_vector_validation():
         "resolvent-norm-cfg-dict", "classify-cfg-dict", "analyze-cfg-dict", "solver-cfg-dict",
         "shifted-solve-cfg-dict", "segment-cfg-dict", "segment-auto-cfg-dict",
         "localmin-cfg-dict", "taylor-cfg-dict", "path-cfg-dict", "certify-cfg-dict",
-        "from-inverse-cfg-dict", "certify-cfg-none", "grid-width-overflow", "grid-bounds-reversed",
+        "from-inverse-cfg-dict", "weighted-shift-cfg-dict", "certify-cfg-none",
+        "grid-width-overflow", "grid-bounds-reversed",
     ],
 )
 def test_non_number_scalars_raise_value_error(call, message):
@@ -357,6 +361,8 @@ NAN, INF = complex(math.nan, 0), complex(math.inf, 0)
             lambda a: rg.circulant_weighted_shift_inverse([2]),
             "weights has 1 entries, needs at least 2",
         ),
+        (lambda a: rg.weighted_shift([2]), "weights has 1 entries, needs at least 2"),
+        (lambda a: rg.weighted_shift([2, math.inf]), "weights entries must be finite"),
     ],
     ids=[
         "batch-nan", "batch-none", "batch-inf-schur", "batch-string", "batch-scalar",
@@ -366,7 +372,8 @@ NAN, INF = complex(math.nan, 0), complex(math.inf, 0)
         "taylor-psi-length", "quantities-psi-nan", "taylor-psi-at-singular-shift",
         "taylor-psi-with-long-step", "shift-weights-inf", "batch-bool",
         "batch-numeric-string", "path-vertex-bool", "matrix-bool-dtype", "batch-huge-int",
-        "phase-empty", "shift-one-weight",
+        "phase-empty", "shift-one-weight", "weighted-shift-one-weight",
+        "weighted-shift-weights-inf",
     ],
 )
 def test_bad_arrays_raise_value_error(call, message):
@@ -385,6 +392,23 @@ def test_sigma_min_batch_takes_any_sequence():
     ref = rg.sigma_min_batch(a, np.array(zs))
     assert np.array_equal(rg.sigma_min_batch(a, zs), ref)
     assert np.array_equal(rg.sigma_min_batch(a, tuple(zs)), ref)
+
+
+def test_subnormal_sigma_gives_inf_without_overflow_warning():
+    """sigma below 1/max-float gives the norm inf and no overflow warning, in
+    norms_from_sigma and in the certificate and the search that use it."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        norms = norms_from_sigma(np.array([0.0, 5e-324, 1e-310, 2.3e-308, 1.0]))
+        a = np.diag([0j, 3])
+        cert = rg.certify_path(a, rg.PolyPath((0.5, 1e-310, 0), 0, 1.0, 0.0))
+        path, found = rg.find_path(a, 1.0, 5e-324)
+    assert norms[:3].tolist() == [math.inf] * 3
+    assert norms[3] == 1.0 / 2.3e-308 and norms[4] == 1.0
+    assert cert.valid, cert.failures
+    assert found.valid, found.failures
+    assert path.vertices == (5e-324, 0j) and path.eigenvalue == 0j
+    assert path.delta == math.inf
 
 
 _ENTRIES = st.one_of(
@@ -623,9 +647,7 @@ _SCHUR_FAMILIES = {
     "jordan": lambda n: rg.jordan_block(n, 0.3 - 0.2j),
     "triangular": lambda n: np.triu(rg.random_dense(n, n)),
     "grcar": rg.grcar,
-    "shift": lambda n: rg.operator_from_inverse(
-        rg.circulant_weighted_shift_inverse([2.0] + [1.0] * (n - 1))
-    ),
+    "shift": lambda n: rg.weighted_shift([2.0] + [1.0] * (n - 1)),
     "zigzag": rg.zigzag_diagonal,
 }
 
@@ -980,7 +1002,7 @@ def test_sigma_min_batch_below_the_floor_starts_no_thread(monkeypatch):
     assert names == [threading.current_thread().name]
     _assert_matches_svd(a, zs[:below], vals)
     # the min |a_ii - z| formula, Weyl on a normal T and inverse Lanczos
-    unitary = rg.operator_from_inverse(rg.circulant_weighted_shift_inverse([1.0] * 48))
+    unitary = rg.weighted_shift([1.0] * 48)
     for other in (rg.zigzag_diagonal(10), unitary, rg.random_dense(48, 3)):
         assert _svd_threads(other, zs)[1] == []
     assert threading.active_count() == threads

@@ -143,7 +143,7 @@ def test_find_path_computes_spectrum_and_schur_form_once(query, monkeypatch):
 def test_taylor_command_computes_spectrum_once(tmp_path, capsys):
     """analyze_point and taylor_remainder_check share one Operator."""
     path = tmp_path / "shift4.json"
-    shift4 = rg.operator_from_inverse(rg.circulant_weighted_shift_inverse([2, 1, 1, 1]))
+    shift4 = rg.weighted_shift([2, 1, 1, 1])
     rg.save_matrix(str(path), shift4)
     eig_patch, eig_calls = _counting("resgrow.linalg.eigenvalues")
     eigvals_patch, eigvals_calls = _counting("numpy.linalg.eigvals")

@@ -254,7 +254,7 @@ def test_find_path_past_saddle(weights, vertices):
     # from z = 0.05i the analyzed direction zig-zags across the imaginary
     # axis toward a saddle until it admits no step; the escape fan then
     # takes over
-    a = rg.operator_from_inverse(rg.circulant_weighted_shift_inverse(weights))
+    a = rg.weighted_shift(weights)
     z = 0.05j
     path, cert = rg.find_path(a, 1.2 / rg.resolvent_norm(a, z), z)
     assert cert.valid
@@ -274,8 +274,24 @@ def test_find_path_on_grcar(n):
         assert path.eigenvalue in set(a.eigenvalues)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 6, 8, 12, 16, 24])
+def test_find_path_on_weighted_shifts(n):
+    """Searches on non-normal weighted shifts, from points at 0.05, 0.2 and 0.9
+    of the spectral radius, end at a computed eigenvalue with a valid
+    certificate."""
+    a = rg.Operator(rg.weighted_shift(np.random.default_rng(n).uniform(1.0, 3.0, n)))
+    rho = float(np.max(np.abs(a.eigenvalues)))
+    for r in (0.05, 0.2, 0.9):
+        for k in range(5):
+            z = r * rho * np.exp(1j * (2.0 * np.pi * k / 5 + 0.3))
+            path, cert = rg.find_path(a, 1.3 * rg.sigma_min_batch(a, [z])[0], z)
+            assert cert.valid, (z, cert.failures)
+            assert path.vertices[-1] == path.eigenvalue
+            assert path.eigenvalue in set(a.eigenvalues)
+
+
 def _saddle_query():
-    a = rg.operator_from_inverse(rg.circulant_weighted_shift_inverse([2, 1]))
+    a = rg.weighted_shift([2, 1])
     return a, 0.05j, 1.2 / rg.resolvent_norm(a, 0.05j)
 
 
@@ -384,9 +400,7 @@ def test_line_search_matches_ladder(n, seed, turn, cap_frac, floor_frac, max_hal
 _FLOOR_FAMILIES = {
     "random_dense": lambda n, rng: rg.random_dense(n, int(rng.integers(2**20))),
     "jordan": lambda n, rng: rg.jordan_block(n, complex(*rng.uniform(-1.0, 1.0, 2))),
-    "shift": lambda n, rng: rg.operator_from_inverse(
-        rg.circulant_weighted_shift_inverse(rng.uniform(1.0, 3.0, n))
-    ),
+    "shift": lambda n, rng: rg.weighted_shift(rng.uniform(1.0, 3.0, n)),
     "grcar": lambda n, rng: rg.grcar(n),
 }
 
@@ -643,7 +657,8 @@ def _svd_sigma_min(a, zs):
 def test_certificate_is_sound_on_schur_route(kind):
     """The floor verdict holds under dense SVD re-sampling when the
     certificate's sigma values come from the Schur route: inverse Lanczos
-    for the non-normal matrix, the diagonal shortcut for the normal one.
+    for the non-normal matrix, the Weyl formula on the Schur form T of the
+    normal one, which is not itself diagonal.
 
     The found path's segments are cut into 80 vertices, so that the
     vertex batch alone takes the Schur route; the cut vertices need not

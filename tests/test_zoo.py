@@ -95,6 +95,21 @@ def test_shift_spectrum_shares_modulus():
     assert np.allclose(np.abs(eigs), 2.0 ** (-1.0 / 4.0))
 
 
+def test_weighted_shift():
+    """weighted_shift is the inverse of the circulant M, bitwise, and its
+    eigenvalues share the modulus prod(|w|)^(-1/n)."""
+    for w in ([2, 1], [2, 1, 1, 1], [2, 1 + 1j, 3, 0.5 - 2j, 1]):
+        m = rg.circulant_weighted_shift_inverse(w)
+        a = rg.weighted_shift(w)
+        assert a.tobytes() == rg.operator_from_inverse(m).tobytes()
+        assert np.linalg.norm(a @ m - np.eye(len(w))) <= 1e-12
+        radius = np.prod(np.abs(w)) ** (-1.0 / len(w))
+        assert np.allclose(np.abs(rg.eigenvalues(a)), radius, rtol=1e-12, atol=0.0)
+    with pytest.raises(rg.NearSingularError, match=r"z=0j is within 1.0e-12 of") as exc:
+        rg.weighted_shift([1e-13, 1])
+    assert exc.value.sigma_min == pytest.approx(1e-13, rel=1e-12)
+
+
 def test_jordan_block():
     j = rg.jordan_block(3, 0.5 + 1j)
     assert np.allclose(np.diag(j), 0.5 + 1j)

@@ -65,12 +65,11 @@ import numpy as np  # noqa: E402
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from resgrow import (  # noqa: E402
     Operator,
-    circulant_weighted_shift_inverse,
     grcar,
     jordan_block,
-    operator_from_inverse,
     random_dense,
     sigma_min_batch,
+    weighted_shift,
     zigzag_diagonal,
 )
 from resgrow import linalg  # noqa: E402
@@ -85,7 +84,7 @@ STRUCTURED = {
     **{f"random_dense({n}, {n})": partial(random_dense, n, n) for n in (64, 32)},
     **{f"jordan_block({n}, 0.5)": partial(jordan_block, n, 0.5) for n in (64, 32)},
     **{f"grcar({n})": partial(grcar, n) for n in (64, 32)},
-    "shift [2,1,1,1]": partial(operator_from_inverse, circulant_weighted_shift_inverse([2, 1, 1, 1])),
+    "shift [2,1,1,1]": partial(weighted_shift, [2, 1, 1, 1]),
     "jordan_block(8, 0)": partial(jordan_block, 8, 0.0),
     **{f"zigzag_diagonal({n})": partial(zigzag_diagonal, n) for n in (64, 4, 16, 32)},
 }
