@@ -158,8 +158,8 @@ def grid_metadata(grid: PseudoGrid, epsilon: float) -> dict:
 class PolyPath(Result):
     """Polygonal path x_1, ..., x_m, lambda inside a pseudospectrum.
 
-    The first vertex is the query point, the last an eigenvalue, which
-    ``eigenvalue`` claims; ``certify_path`` fails a path where the two differ.
+    The first vertex is the query point, the last ``eigenvalue`` (``certify_path`` fails
+    a path where they differ), from which a valid certificate reaches an exact eigenvalue.
     ``delta`` is the norm slack (f(x_1) - 1/epsilon)/2 fixed at construction, +inf
     at an exact eigenvalue; any other real number is legal too.  Points are stored
     as complex, epsilon and delta as floats.  ValueError: no vertices, a point not
@@ -189,10 +189,10 @@ class PolyPath(Result):
 class PathCertificate(Result):
     """Proof that a path stays inside the epsilon-pseudospectrum.
 
-    ``samples`` counts the sigma_min evaluations the certificate made
-    and ``min_f_on_path`` is the smallest resolvent norm among them.
-    Invalid certificates are data, not exceptions: ``failures`` lists
-    which invariant broke.
+    ``samples`` counts the sigma_min evaluations the certificate made, ``min_f_on_path``
+    is the smallest resolvent norm among them, and ``endpoint_distance``, the final hop
+    |x_m - lambda|, is only reported.  Invalid certificates are data, not exceptions:
+    ``failures`` lists which invariant broke.
     """
 
     samples: int
@@ -203,7 +203,7 @@ class PathCertificate(Result):
     failures: tuple[str, ...]
 
 
-def certify_path(a, path: PolyPath, cfg: RunConfig = DEFAULT_CONFIG) -> PathCertificate:
+def certify_path(a, path: PolyPath) -> PathCertificate:
     """Prove the norm floor on every segment and validate the invariants.
 
     The floor is 1/epsilon plus the margin max(0, (f(x_1) - delta - 1/epsilon)/2),
@@ -221,13 +221,14 @@ def certify_path(a, path: PolyPath, cfg: RunConfig = DEFAULT_CONFIG) -> PathCert
     - "min_f_unproved": the next level would pass m + (m - 1) _CERT_SAMPLES_PER_SEGMENT
       evaluations for m vertices, a budget one hard segment can spend alone;
     - "vertex_norms_not_increasing": f(x_k+1) <= f(x_k) for some k < m;
-    - "endpoint_too_far": the final hop |x_m - lambda| is not shorter than epsilon/2;
-    - "endpoint_not_eigenvalue": the last vertex is not ``eigenvalue``, or
-      sigma_min(A - lambda I) > tol_eig * max(1, ||A||_2).
-    a is a matrix or an Operator, whose ``norm`` gives ||A||_2; the PolyPath
-    has checked its points, epsilon and delta.
+    - "endpoint_not_eigenvalue": the last vertex is not ``eigenvalue``, or sigma + slack
+      >= s_req there, so it is not proved in O = {z : sigma_min(A - zI) < s_req}.
+    The loop proves f >= floor on the path, and a valid one ends in O.  The component of O
+    through lambda holds an exact eigenvalue mu of A (maximum principle for the subharmonic
+    ||R(z)||; Trefethen & Embree, Spectra and Pseudospectra, 2005), and f > 1/s_req on O.
+    a is a matrix or an Operator; the PolyPath has checked its points, epsilon and delta.
     """
-    op, cfg = as_operator(a), _run_config(cfg)
+    op = as_operator(a)
     verts = np.array(path.vertices)
     inv_eps = 1.0 / path.epsilon
 
@@ -268,9 +269,7 @@ def certify_path(a, path: PolyPath, cfg: RunConfig = DEFAULT_CONFIG) -> PathCert
 
     if any(b <= a_ for a_, b in zip(vertex_norms, vertex_norms[1:])):
         failures.append("vertex_norms_not_increasing")
-    if not endpoint_distance < 0.5 * path.epsilon:
-        failures.append("endpoint_too_far")
-    if path.eigenvalue != verts[-1] or sigma[-1] > cfg.tol_eig * max(1.0, op.norm):
+    if path.eigenvalue != verts[-1] or not sigma[-1] + slack < s_req:
         failures.append("endpoint_not_eigenvalue")
 
     return PathCertificate(
@@ -402,7 +401,7 @@ def find_path(
             lam = complex(eigs[nearest])
             vertices.append(lam)
             path = PolyPath(tuple(vertices), lam, epsilon, delta)
-            return path, certify_path(op, path, cfg)
+            return path, certify_path(op, path)
 
         try:
             point = analyze_point(op, x, cfg)

@@ -213,18 +213,10 @@ def test_as_vector_validation():
         ),
         (lambda a, point, grid: rg.find_path(a, 0.5, Z, {}), "cfg must be a RunConfig"),
         (
-            lambda a, point, grid: rg.certify_path(a, rg.PolyPath((Z, 0j), 0j, 1.0, 0.0), {}),
-            "cfg must be a RunConfig",
-        ),
-        (
             lambda a, point, grid: rg.operator_from_inverse(np.eye(2), {}),
             "cfg must be a RunConfig",
         ),
         (lambda a, point, grid: rg.weighted_shift([2, 1], {}), "cfg must be a RunConfig"),
-        (
-            lambda a, point, grid: rg.certify_path(a, rg.PolyPath((Z, 0j), 0j, 1.0, 0.0), None),
-            "cfg must be a RunConfig",
-        ),
         # a box whose width overflows a float is named as such, not by its cell centers
         (
             lambda a, point, grid: rg.grid_sigma_min(a, -1e308, 1e308, 0, 1, 2, 2),
@@ -251,8 +243,8 @@ def test_as_vector_validation():
         "polypath-delta-nan", "polypath-delta-bool", "polypath-delta-none", "polypath-delta-str",
         "resolvent-norm-cfg-dict", "classify-cfg-dict", "analyze-cfg-dict", "solver-cfg-dict",
         "shifted-solve-cfg-dict", "segment-cfg-dict", "segment-auto-cfg-dict",
-        "localmin-cfg-dict", "taylor-cfg-dict", "path-cfg-dict", "certify-cfg-dict",
-        "from-inverse-cfg-dict", "weighted-shift-cfg-dict", "certify-cfg-none",
+        "localmin-cfg-dict", "taylor-cfg-dict", "path-cfg-dict",
+        "from-inverse-cfg-dict", "weighted-shift-cfg-dict",
         "grid-width-overflow", "grid-bounds-reversed",
     ],
 )

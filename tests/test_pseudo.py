@@ -506,7 +506,7 @@ def test_find_path_from_an_exact_eigenvalue(a, epsilon, z):
 
 
 def test_certify_rejects_bad_paths(diag03):
-    # flat vertex norms, endpoint far from the spectrum
+    # flat vertex norms
     bad = rg.PolyPath(
         vertices=(1.0 + 0j, 2.0 + 0j, 0.0 + 0j),
         eigenvalue=0.0 + 0j,
@@ -516,7 +516,6 @@ def test_certify_rejects_bad_paths(diag03):
     cert = rg.certify_path(diag03, bad)
     assert not cert.valid
     assert "vertex_norms_not_increasing" in cert.failures
-    assert "endpoint_too_far" in cert.failures
 
     far = rg.PolyPath(
         vertices=(10.0 + 0j, 11.0 + 0j),
@@ -525,7 +524,7 @@ def test_certify_rejects_bad_paths(diag03):
         delta=0.1,
     )
     cert = rg.certify_path(diag03, far)
-    assert set(cert.failures) >= {"min_f_margin", "endpoint_too_far", "endpoint_not_eigenvalue"}
+    assert cert.failures == ("min_f_margin", "endpoint_not_eigenvalue")
 
     # a valid path to 0 that claims the other eigenvalue, 3
     wrong = rg.PolyPath((0.5 + 0j, 0j), 3 + 0j, 1.25, 0.0)
@@ -542,6 +541,11 @@ def test_certify_single_vertex(diag03):
     assert cert.valid
     assert cert.endpoint_distance == 0.0
     assert cert.min_f_on_path == np.inf
+    # sigma(1) = 1 ties s_req = 1/epsilon, so 1 lies outside the open set
+    # sigma_min < s_req, and a hair larger epsilon puts it inside
+    outside = rg.PolyPath((1.0,), 1.0, 1.0, 1e12)
+    assert rg.certify_path(diag03, outside).failures == ("endpoint_not_eigenvalue",)
+    assert rg.certify_path(diag03, dataclasses.replace(outside, epsilon=1.0000001)).valid
 
 
 def test_certify_finds_dip_between_samples():
@@ -556,15 +560,16 @@ def test_certify_finds_dip_between_samples():
 
 
 def test_certify_residual_endpoint():
-    # the computed eigenvalues of J = jordan_block(16, 0) are all 0, but
-    # sigma_min(J - 0.2 I), about 0.2^16, passes the residual test, while
-    # sigma_min(J - 0.5 I), about 0.5^16, does not; the large delta leaves
-    # a floor of 1/epsilon only
+    # the computed eigenvalues of J = jordan_block(16, 0) are all 0, and
+    # neither 0.2 nor 0.5 is one, but sigma_min(J - lam I), about lam^16, is
+    # below s_req = 1 (the large delta leaves a floor of 1/epsilon only): both
+    # endpoints lie in the open set sigma_min < s_req, and so does the segment
+    # from either to the exact eigenvalue 0
     a = rg.jordan_block(16, 0.0)
-    for lam, ok in ((0.2, True), (0.5, False)):
+    for lam in (0.2, 0.5):
         path = rg.PolyPath(vertices=(lam + 0.05, lam), eigenvalue=lam, epsilon=1.0, delta=1e12)
-        cert = rg.certify_path(a, path)
-        assert cert.failures == (() if ok else ("endpoint_not_eigenvalue",))
+        assert rg.certify_path(a, path).failures == ()
+    assert rg.sigma_min_batch(a, np.linspace(0.0, 0.55, 2001)).max() < 1.0
 
 
 def test_certify_refutes_an_exact_tie():

@@ -1,6 +1,7 @@
 import contextlib
 import importlib.util
 import io
+import math
 import os
 import subprocess
 import sys
@@ -9,6 +10,7 @@ from pathlib import Path
 from unittest import mock
 
 import numpy as np
+import pytest
 
 import resgrow as rg
 from resgrow import linalg
@@ -119,8 +121,9 @@ def test_payload_hashes_cli_group_is_deterministic(tmp_path, monkeypatch):
 
 def test_payload_hashes_certify_group_is_deterministic():
     """Two passes of the hash tool's certificate cases print identical lines;
-    the cases reach each floor verdict and a failed residual test, and the
-    delta cases bisect to different depths."""
+    the cases reach each floor verdict, an endpoint far from the computed
+    spectrum that lies inside the open set sigma_min < s_req and one that
+    lies outside it, and the delta cases bisect to different depths."""
     tool = _load_tool("payload_hashes")
     first = tool.certify_lines()
     assert first == tool.certify_lines()
@@ -130,7 +133,42 @@ def test_payload_hashes_certify_group_is_deterministic():
     assert all(certs[k].valid for k in ("margin-0", "delta-0", "delta-negative", "delta-inf"))
     assert certs["dip"].failures == certs["tie"].failures == ("min_f_margin",)
     assert certs["budget"].failures == ("min_f_unproved",)
-    assert certs["residual-endpoint"].failures == ("endpoint_not_eigenvalue",)
+    assert certs["far-endpoint"].valid
+    assert certs["outside-endpoint"].failures == ("endpoint_not_eigenvalue",)
+
+
+@pytest.fixture(scope="module")
+def certify_cases():
+    """(matrix, path) pairs: the hash tool's certificate cases, then the find_path
+    paths at epsilon = 2 sigma_min(A - zI), z = 0.5 + 0.5i, on random_dense(n, i)
+    for n from 2 to 8 and i from 0 to 5, all n < 48, so all on the SVD route."""
+    cases = [(a, path) for _, a, path in _load_tool("payload_hashes").CERTIFY_CASES]
+    z = 0.5 + 0.5j
+    for n in range(2, 9):
+        for i in range(6):
+            a = rg.random_dense(n, i)
+            cases.append((a, rg.find_path(a, 2.0 * rg.sigma_min_batch(a, [z])[0], z)[0]))
+    return cases
+
+
+@pytest.mark.parametrize("k", [-200, -100, -40, -10, -1, 1, 10, 40, 100, 200])
+def test_certify_path_is_scale_equivariant(certify_cases, k):
+    """Scaling A, the path's points and epsilon by c = 2^k and delta by 1/c scales
+    every sigma_min by c exactly, so the certificate keeps its failures and samples,
+    and its norms and endpoint distance scale bitwise: no absolute tolerance
+    decides a verdict."""
+    c = math.ldexp(1.0, k)
+    for a, path in certify_cases:
+        ref = rg.certify_path(a, path)
+        scaled = rg.PolyPath(
+            tuple(c * v for v in path.vertices), c * path.eigenvalue, c * path.epsilon,
+            path.delta / c,
+        )
+        cert = rg.certify_path(c * a, scaled)
+        assert (cert.failures, cert.samples) == (ref.failures, ref.samples)
+        assert cert.vertex_norms == tuple(f / c for f in ref.vertex_norms)
+        assert cert.min_f_on_path == ref.min_f_on_path / c
+        assert cert.endpoint_distance == ref.endpoint_distance * c
 
 
 def test_payload_hashes_schur_runs_take_the_schur_routes(tmp_path, monkeypatch):

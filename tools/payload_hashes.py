@@ -29,8 +29,10 @@ prints the same lines.  The groups are
   of ``CERTIFY_CASES``, paths built by hand because ``find_path`` never
   builds them: margin 0 (delta 1e12), delta 0, a negative delta, delta +inf
   at an exact eigenvalue, a dip between samples that refutes the floor, the
-  Jordan segment that exhausts the sample budget, an endpoint that fails
-  the residual test and a vertex whose sigma ties the floor's exactly.
+  Jordan segment that exhausts the sample budget, an endpoint far from the
+  computed spectrum yet inside the set where sigma_min < s_req, a vertex
+  whose sigma ties the floor's exactly, and a single vertex whose sigma ties
+  s_req, so that it lies outside that open set.
 
 BLAS runs on one thread.  The whole run takes a few seconds.
 """
@@ -133,8 +135,9 @@ CERTIFY_CASES = (
     ("delta-inf", _DIAG03, PolyPath((0, 0), 0, 1.0, math.inf)),
     ("dip", np.diag([0j, 1]), PolyPath((0.2, 0.9, 1.0), 1.0, 1.0, 1.996)),
     ("budget", _J16, PolyPath((0.25, 0.2), 0.2, 1.0, 0.0)),
-    ("residual-endpoint", _J16, PolyPath((0.55, 0.5), 0.5, 1.0, 1e12)),
+    ("far-endpoint", _J16, PolyPath((0.55, 0.5), 0.5, 1.0, 1e12)),
     ("tie", _DIAG03, PolyPath((1.0, 0.25, 0), 0, 1.0, 1e12)),
+    ("outside-endpoint", _DIAG03, PolyPath((1.0,), 1.0, 1.0, 1e12)),
 )
 
 
